@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "gnn/gnn_model.h"
@@ -42,11 +43,18 @@ int Main() {
   bench::Unwrap(nn.Train(dataset.job_features, supervision), "nn train");
   double nn_epoch_seconds = SecondsSince(start);
 
+  NnPccModel::InferenceScratch nn_scratch;
+  std::vector<PowerLawPcc> nn_pccs(dataset.size());
   start = std::chrono::steady_clock::now();
   int nn_rounds = 0;
   while (SecondsSince(start) < 0.5) {
-    bench::Unwrap(nn.PredictBatch(dataset.job_features, dataset.size()),
-                  "nn predict");
+    Status predicted =
+        nn.PredictBatchInto(dataset.job_features.data(), dataset.size(),
+                            nn_scratch, nn_pccs.data());
+    if (!predicted.ok()) {
+      std::fprintf(stderr, "nn predict: %s\n", predicted.ToString().c_str());
+      return 1;
+    }
     ++nn_rounds;
   }
   double nn_per_10k = SecondsSince(start) /

@@ -3,7 +3,7 @@
 
 The serving layer now runs a zero-allocation warm fast path (tasq_hot.py)
 and an arena-backed cold submit path (src/common/arena.h): per-request
-memory comes from a bump-pointer ScratchArena that resets between
+memory comes from a bump-pointer Arena that resets between
 requests instead of from the global heap. That discipline only survives
 if ownership stays legible — a raw `new` without an owner, an
 unannotated raw-pointer member, or an arena pointer stored past its
@@ -475,11 +475,11 @@ def check_shared_copies(repo):
 # Arena rules: declarations, allocation sites
 # ---------------------------------------------------------------------------
 
-# `Arena name` / `ScratchArena name` / `Arena& name` / `Arena* name` —
+# `Arena name` / `Arena& name` / `Arena* name` —
 # local, parameter, or member. The declared identifier anchors the
 # allocation-site scan.
 ARENA_DECL_RE = re.compile(
-    r"\b(?:Arena|ScratchArena)\s*[&*]?\s+([A-Za-z_]\w*)\b")
+    r"\bArena\s*[&*]?\s+([A-Za-z_]\w*)\b")
 
 ARENA_ALLOC_METHODS = ("New", "NewObject", "NewArray", "Alloc")
 
@@ -493,7 +493,7 @@ ARENA_SITE_RE = re.compile(
 def arena_alloc_sites(stripped):
     """Yields (offset, arena_ident, method, type_arg|None) for every
     allocation call on an arena handle. A handle is an identifier
-    declared as Arena/ScratchArena in this file, or any identifier
+    declared as Arena in this file, or any identifier
     containing "arena" — member arenas are declared in the header, so
     the .cc where the allocation happens only ever sees the name."""
     names = set(ARENA_DECL_RE.findall(stripped))
@@ -671,7 +671,6 @@ ARENA_H = (
     "  template <typename T> T* New();\n"
     "  template <typename T> T* NewObject();\n"
     "};\n"
-    "using ScratchArena = Arena;\n"
     "}  // namespace tasq\n"
     "#endif\n")
 

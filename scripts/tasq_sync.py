@@ -24,7 +24,7 @@ under src/ and enforces a written-down discipline on raw atomics:
                              `// sync: seqcst <why>`.
   atomic-outside-sync        raw std::atomic in src/ lives only inside
                              src/common/sync/ (the vetted primitives:
-                             Snapshot<T>, MpscQueue<T>, CpuRelax) or in
+                             Snapshot<T>, CpuRelax) or in
                              files allowlisted with a per-file rationale
                              in scripts/sync_files.txt. Everything else
                              composes the vetted primitives instead of
@@ -391,7 +391,7 @@ def check_outside_sync(repo, allowlist):
         findings.append(Finding(
             "atomic-outside-sync", rel, line,
             "raw std::atomic outside src/common/sync/: compose the "
-            "vetted primitives (Snapshot<T>, MpscQueue<T>) instead, or "
+            "vetted primitives (Snapshot<T>) instead, or "
             f"allowlist this file in {ALLOWLIST_PATH} with a rationale"))
     return findings
 

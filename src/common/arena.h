@@ -6,7 +6,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -224,48 +223,6 @@ class ArenaAllocator {
 /// abandoned grow-copies do not). Construct, reserve, fill, drop.
 template <typename T>
 using ArenaVector = std::vector<T, ArenaAllocator<T>>;
-
-/// A string whose characters live in an arena.
-using ArenaString =
-    std::basic_string<char, std::char_traits<char>, ArenaAllocator<char>>;
-
-/// Per-request scratch arena: an Arena plus the convention that Reset()
-/// runs at a request/batch boundary. The serving drain loop holds one
-/// per worker activation; feature extraction and batch assembly allocate
-/// from it and nothing outlives the batch (tasq_own.py's arena-escape
-/// rule keeps that true).
-class ScratchArena {
- public:
-  explicit ScratchArena(size_t block_bytes = Arena::kDefaultBlockBytes)
-      : arena_(block_bytes) {}
-
-  /// The underlying arena, for New/Alloc and allocator adapters.
-  Arena& arena() { return arena_; }
-
-  /// Marks a request/batch boundary: everything handed out since the
-  /// last Reset dies here.
-  void Reset() { arena_.Reset(); }
-
-  template <typename T>
-  ArenaVector<T> MakeVector() {
-    return ArenaVector<T>(ArenaAllocator<T>(&arena_));
-  }
-
-  /// A vector pre-sized to `count` value-initialized elements.
-  template <typename T>
-  ArenaVector<T> MakeVector(size_t count) {
-    ArenaVector<T> v{ArenaAllocator<T>(&arena_)};
-    v.resize(count);
-    return v;
-  }
-
-  ArenaString MakeString() {
-    return ArenaString(ArenaAllocator<char>(&arena_));
-  }
-
- private:
-  Arena arena_;
-};
 
 }  // namespace tasq
 

@@ -173,18 +173,6 @@ class Snapshot {
     slots_[old].value.reset();
   }
 
-  /// Copy-update-swap convenience: copies the current version, lets
-  /// `mutate` edit the copy, publishes the result. Writer-serialized by
-  /// Publish; readers see either the old or the new version, never a
-  /// torn one.
-  template <typename Fn>
-  void Update(Fn&& mutate) {
-    std::shared_ptr<const T> current = ReadOwned();
-    auto next = std::make_shared<T>(*current);
-    mutate(*next);
-    Publish(std::shared_ptr<const T>(std::move(next)));
-  }
-
  private:
   struct Slot {
     /// Written only by the writer while the slot is retired and drained;

@@ -306,22 +306,14 @@ NnPccModel NnPccModel::Deserialize(TextArchiveReader& reader) {
 
 Result<PowerLawPcc> NnPccModel::Predict(
     const std::vector<double>& features) const {
-  Result<std::vector<PowerLawPcc>> batch = PredictBatch(features, 1);
-  if (!batch.ok()) return batch.status();
-  return batch.value()[0];
-}
-
-Result<std::vector<PowerLawPcc>> NnPccModel::PredictBatch(
-    const std::vector<double>& features, size_t count) const {
-  if (features.size() != count * input_dim_ || count == 0) {
+  if (features.size() != input_dim_) {
     return Status::InvalidArgument("feature matrix size mismatch");
   }
   InferenceScratch scratch;
-  std::vector<PowerLawPcc> out(count);
-  Status status = PredictBatchInto(features.data(), count, scratch,
-                                   out.data());
+  PowerLawPcc pcc;
+  Status status = PredictBatchInto(features.data(), 1, scratch, &pcc);
   if (!status.ok()) return status;
-  return out;
+  return pcc;
 }
 
 Status NnPccModel::PredictBatchInto(const double* features, size_t count,

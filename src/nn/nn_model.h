@@ -68,10 +68,6 @@ class NnPccModel {
   /// training.
   TASQ_NODISCARD Result<PowerLawPcc> Predict(const std::vector<double>& features) const;
 
-  /// Batch prediction over row-major N x input_dim features.
-  TASQ_NODISCARD Result<std::vector<PowerLawPcc>> PredictBatch(
-      const std::vector<double>& features, size_t count) const;
-
   /// Reusable activation buffers for PredictBatchInto. Matrices keep
   /// their capacity across calls, so a serving loop that recycles one
   /// scratch pays zero heap allocations per batch once warm. The first
@@ -88,9 +84,9 @@ class NnPccModel {
   /// autograd Forward pass: the dense layers ride the same MatMulAccum
   /// kernel (ml/kernels.h, identical i,k,j association) as Matrix::MatMul
   /// plus fused bias+activation epilogues performing the Add node's and
-  /// the activation's operations in the same order — PredictBatch
-  /// delegates here, so the golden/determinism tests pin both paths to
-  /// the same bytes.
+  /// the activation's operations in the same order — Predict delegates
+  /// here, so the golden/determinism tests pin both paths to the same
+  /// bytes.
   TASQ_NODISCARD Status PredictBatchInto(const double* features, size_t count,
                                          InferenceScratch& scratch,
                                          PowerLawPcc* out) const;

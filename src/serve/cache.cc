@@ -32,15 +32,6 @@ size_t HashReportCacheKey(const ReportCacheKey& key) {
 
 ReportCache::ReportCache(size_t capacity) : capacity_(capacity) {}
 
-std::optional<WhatIfReport> ReportCache::Get(const ReportCacheKey& key) {
-  std::optional<WhatIfReport> report;
-  report.emplace();
-  if (!GetInto(key, &report.value())) {
-    report.reset();
-  }
-  return report;
-}
-
 bool ReportCache::GetInto(const ReportCacheKey& key, WhatIfReport* out) {
   // Zero locks: pin the current table version (lock-free), look up, copy
   // out. A concurrent Put publishes a *new* table; the pinned version and

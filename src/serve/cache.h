@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 
 #include "common/hot.h"
@@ -59,7 +58,7 @@ struct ReportCacheCounters {
 /// The paper's dominant workload is recurring jobs (same template, same
 /// compile-time graph), so the serving layer answers repeats from here
 /// and skips model inference entirely. Capacity 0 disables caching (every
-/// Get is a miss, Put is a no-op) — handy for A/B benchmarks.
+/// GetInto is a miss, Put is a no-op) — handy for A/B benchmarks.
 ///
 /// Concurrency design (PR 8, ROADMAP item 1): the table is an immutable
 /// snapshot behind Snapshot<Table>, so the read path — GetInto, the
@@ -75,11 +74,6 @@ struct ReportCacheCounters {
 class ReportCache {
  public:
   explicit ReportCache(size_t capacity);
-
-  /// Returns the cached report and refreshes its recency, or nullopt on a
-  /// miss. Counts the hit/miss either way. Allocating convenience over
-  /// GetInto; the serving fast path uses GetInto directly.
-  std::optional<WhatIfReport> Get(const ReportCacheKey& key);
 
   /// Copies the cached report into `*out` (refreshing recency) and
   /// returns true, or returns false on a miss leaving `*out` untouched.

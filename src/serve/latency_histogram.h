@@ -38,9 +38,8 @@ class LatencyHistogram {
   /// bit_width of a uint64_t is 0..64, one bucket per value.
   static constexpr size_t kBuckets = 65;
 
-  /// Point-in-time copy of the histogram, plus derived statistics.
-  /// Field names (count / total_ms / max_ms / mean_ms) deliberately match
-  /// the StageLatency accumulator so call sites read the same.
+  /// Point-in-time copy of the histogram, plus derived statistics
+  /// (count / total_ms / max_ms / mean_ms and tail quantiles).
   struct Snapshot {
     uint64_t count = 0;
     double total_ms = 0.0;

@@ -8,25 +8,18 @@ namespace tasq {
 
 namespace {
 
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Integer nanoseconds for the end-to-end histogram; steady_clock never
-// runs backwards, so the cast is safe. Allocation-free (hot-path callee).
-uint64_t NsSince(std::chrono::steady_clock::time_point start) {
+// Integer nanoseconds between two steady_clock points, for the latency
+// histograms; steady_clock never runs backwards, so the cast is safe.
+uint64_t NsBetween(std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
 }
 
-void RecordLatency(StageLatency& stage, double ms) {
-  ++stage.count;
-  stage.total_ms += ms;
-  stage.max_ms = std::max(stage.max_ms, ms);
+// Allocation-free (hot-path callee).
+uint64_t NsSince(std::chrono::steady_clock::time_point start) {
+  return NsBetween(start, std::chrono::steady_clock::now());
 }
 
 }  // namespace
@@ -116,9 +109,9 @@ std::future<Result<WhatIfReport>> PccServer::Submit(ScoreRequest request) {
   // Fingerprint-cache fast path: recurring jobs (the dominant workload)
   // skip the queue and model inference entirely. (TryScoreCached is the
   // future-free flavor of this same path.)
-  std::optional<WhatIfReport> cached = cache_.Get(key);
-  if (cached.has_value()) {
-    FulfillOk(pending, std::move(cached.value()), /*from_cache=*/true);
+  WhatIfReport cached;
+  if (cache_.GetInto(key, &cached)) {
+    FulfillOk(pending, std::move(cached), /*from_cache=*/true);
     return future;
   }
 
@@ -231,31 +224,28 @@ void PccServer::DrainQueue() {
     }
     space_free_cv_.NotifyAll();
     auto picked_at = std::chrono::steady_clock::now();
-    {
-      MutexLock lock(stats_mutex_);
-      for (const Pending& pending : scratch.batch) {
-        RecordLatency(queue_wait_, std::chrono::duration<double, std::milli>(
-                                picked_at - pending.submitted_at)
-                                .count());
-      }
-      ++batches_;
-      batched_requests_ += scratch.batch.size();
+    // Both batch counts land before ProcessBatch resolves any future of
+    // this batch, so a caller holding a result sees them in Stats().
+    for (const Pending& pending : scratch.batch) {
+      queue_wait_hist_.Observe(NsBetween(pending.submitted_at, picked_at));
     }
+    // Relaxed: independent event counter, published like the histograms.
+    batches_.fetch_add(1, std::memory_order_relaxed);
     ProcessBatch(scratch);
+    inference_hist_.Observe(NsSince(picked_at));
   }
 }
 
 void PccServer::ProcessBatch(BatchScratch& scratch) {
   std::vector<Pending>& batch = scratch.batch;
-  auto inference_start = std::chrono::steady_clock::now();
 
   // Everything assembled for this batch lives in the scratch arena and
   // dies here: pointers below must not outlive this call (tasq_own.py's
   // arena-escape rule). Reset keeps the arena's blocks, so the assembly
   // is heap-allocation-free once the blocks have grown to the realized
   // batch size.
-  scratch.arena.Reset();
-  Arena& arena = scratch.arena.arena();
+  Arena& arena = scratch.arena;
+  arena.Reset();
 
   // Group the parametric requests per model kind so the batch shares
   // inference (one NN forward pass per group); XGBoost-SS has no
@@ -313,10 +303,6 @@ void PccServer::ProcessBatch(BatchScratch& scratch) {
       ScoreOne(pending);
     }
   }
-
-  double inference_ms = MsSince(inference_start);
-  MutexLock lock(stats_mutex_);
-  RecordLatency(inference_, inference_ms);
 }
 
 void PccServer::ScoreOne(Pending& pending) {
@@ -360,14 +346,12 @@ ServerStats PccServer::Stats() const {
   stats.received = received_.load(std::memory_order_relaxed);
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.failed = failed_.load(std::memory_order_relaxed);
+  // Relaxed: monitoring read, exact across a future/join edge.
+  stats.batches = batches_.load(std::memory_order_relaxed);
+  stats.queue_wait = queue_wait_hist_.TakeSnapshot();
+  stats.batched_requests = stats.queue_wait.count;
+  stats.inference = inference_hist_.TakeSnapshot();
   stats.end_to_end = end_to_end_hist_.TakeSnapshot();
-  {
-    MutexLock lock(stats_mutex_);
-    stats.batches = batches_;
-    stats.batched_requests = batched_requests_;
-    stats.queue_wait = queue_wait_;
-    stats.inference = inference_;
-  }
   {
     MutexLock lock(mutex_);
     stats.queue_depth = queue_.size();

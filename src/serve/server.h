@@ -32,15 +32,6 @@ struct ScoreRequest {
   size_t grid_points = 9;
 };
 
-/// Accumulated latency of one serving stage, in milliseconds.
-struct StageLatency {
-  uint64_t count = 0;
-  double total_ms = 0.0;
-  double max_ms = 0.0;
-
-  double mean_ms() const { return count > 0 ? total_ms / count : 0.0; }
-};
-
 /// Point-in-time snapshot of a PccServer's behavior since construction.
 struct ServerStats {
   /// Requests accepted by Submit (cache hits included).
@@ -57,6 +48,7 @@ struct ServerStats {
 
   /// Worker-side batches scored and the requests they covered
   /// (batched_requests / batches = realized mean batch size).
+  /// batched_requests is queue_wait.count.
   uint64_t batches = 0;
   uint64_t batched_requests = 0;
 
@@ -64,14 +56,15 @@ struct ServerStats {
   size_t max_queue_depth = 0;
   size_t queue_capacity = 0;
 
-  /// Per-request time between enqueue and worker pickup.
-  StageLatency queue_wait;
-  /// Per-batch model-inference time (count == batches).
-  StageLatency inference;
+  /// Per-request time between enqueue and worker pickup. Recorded at
+  /// pickup, so it covers every request whose future has resolved.
+  LatencyHistogram::Snapshot queue_wait;
+  /// Per-batch scoring time, from pickup until the batch's last future
+  /// resolves. Recorded after those futures resolve, so count == batches
+  /// holds once the server is quiescent (e.g. after Shutdown).
+  LatencyHistogram::Snapshot inference;
   /// Per-request time from Submit to fulfillment (TryScoreCached hits
-  /// included). A histogram snapshot rather than a plain accumulator:
-  /// mean/max as before, plus p50_ms()/p99_ms() tail quantiles, recorded
-  /// on the request path without a lock or an allocation.
+  /// included).
   LatencyHistogram::Snapshot end_to_end;
 
   /// Renders the snapshot as an aligned human-readable block.
@@ -86,7 +79,7 @@ struct PccServerOptions {
   /// while the queue is at capacity.
   size_t queue_capacity = 1024;
   /// Most requests a worker pulls per batch. Batched NN requests share one
-  /// forward pass (Tasq::PredictPccBatch).
+  /// forward pass (Tasq::PredictPccBatchInto).
   size_t max_batch = 16;
   /// LRU entries of finished reports, keyed by job-graph fingerprint; 0
   /// disables caching.
@@ -119,7 +112,7 @@ class PccServer {
   /// entering the queue. After Shutdown the future resolves to
   /// FailedPrecondition.
   std::future<Result<WhatIfReport>> Submit(ScoreRequest request)
-      TASQ_EXCLUDES(mutex_, stats_mutex_);
+      TASQ_EXCLUDES(mutex_);
 
   /// Synchronous fingerprint-cache fast path: on a hit, copies the cached
   /// report into `*out` and returns true; on a miss, returns false
@@ -137,7 +130,7 @@ class PccServer {
   /// Submit-path requests.
   TASQ_HOT bool TryScoreCached(const ScoreRequest& request,
                                WhatIfReport* out)
-      TASQ_EXCLUDES(mutex_, stats_mutex_);
+      TASQ_EXCLUDES(mutex_);
 
   /// Blocking convenience: Submit + wait.
   TASQ_NODISCARD Result<WhatIfReport> Score(ScoreRequest request);
@@ -150,10 +143,10 @@ class PccServer {
   /// Graceful shutdown: stops accepting requests, scores everything
   /// already enqueued, fulfills every outstanding future, joins the
   /// workers. Idempotent; also runs from the destructor.
-  void Shutdown() TASQ_EXCLUDES(mutex_, stats_mutex_);
+  void Shutdown() TASQ_EXCLUDES(mutex_);
 
   /// Consistent snapshot of counters and latency accumulators.
-  ServerStats Stats() const TASQ_EXCLUDES(mutex_, stats_mutex_);
+  ServerStats Stats() const TASQ_EXCLUDES(mutex_);
 
  private:
   struct Pending {
@@ -177,20 +170,17 @@ class PccServer {
   /// per DrainQueue activation — never shared, so no lock guards it.
   struct BatchScratch {
     std::vector<Pending> batch;
-    ScratchArena arena;
+    Arena arena;
     TasqBatchScratch tasq;
   };
 
   /// Worker-side loop: repeatedly pulls up to max_batch pending requests
   /// and scores them; exits when the queue is empty.
-  void DrainQueue() TASQ_EXCLUDES(mutex_, stats_mutex_);
-  void ProcessBatch(BatchScratch& scratch)
-      TASQ_EXCLUDES(stats_mutex_);
-  void ScoreOne(Pending& pending) TASQ_EXCLUDES(stats_mutex_);
-  void FulfillOk(Pending& pending, WhatIfReport report, bool from_cache)
-      TASQ_EXCLUDES(stats_mutex_);
-  void FulfillError(Pending& pending, Status status)
-      TASQ_EXCLUDES(stats_mutex_);
+  void DrainQueue() TASQ_EXCLUDES(mutex_);
+  void ProcessBatch(BatchScratch& scratch);
+  void ScoreOne(Pending& pending);
+  void FulfillOk(Pending& pending, WhatIfReport report, bool from_cache);
+  void FulfillError(Pending& pending, Status status);
 
   const Tasq& tasq_;
   PccServerOptions options_;  // Normalized in the ctor, immutable after.
@@ -198,7 +188,6 @@ class PccServer {
   ThreadPool pool_;
 
   // Request-path state: the bounded pending queue and its backpressure.
-  // Lock ordering: never hold mutex_ and stats_mutex_ at the same time.
   mutable Mutex mutex_;
   CondVar space_free_cv_;
   std::deque<Pending> queue_ TASQ_GUARDED_BY(mutex_);
@@ -206,23 +195,18 @@ class PccServer {
   bool shutting_down_ TASQ_GUARDED_BY(mutex_) = false;
   size_t max_queue_depth_ TASQ_GUARDED_BY(mutex_) = 0;
 
-  // Per-request observability: lock-free so the cache-hit fast path
-  // (TryScoreCached) records without touching any mutex. Relaxed ordering
-  // suffices — counts are made visible to observers by the promise/future
-  // (or TryScoreCached-return) happens-before edge, not by the counters
-  // themselves.
+  // Observability, lock-free so neither the cache-hit fast path
+  // (TryScoreCached) nor the drain loop touches a mutex to record.
+  // Relaxed ordering suffices — counts are made visible to observers by
+  // the promise/future (or TryScoreCached-return) happens-before edge,
+  // not by the counters themselves.
   std::atomic<uint64_t> received_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
+  std::atomic<uint64_t> batches_{0};
+  LatencyHistogram queue_wait_hist_;
+  LatencyHistogram inference_hist_;
   LatencyHistogram end_to_end_hist_;
-
-  // Batch-path observability, off the request path entirely (only
-  // drainers touch these, once per batch).
-  mutable Mutex stats_mutex_;
-  uint64_t batches_ TASQ_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t batched_requests_ TASQ_GUARDED_BY(stats_mutex_) = 0;
-  StageLatency queue_wait_ TASQ_GUARDED_BY(stats_mutex_);
-  StageLatency inference_ TASQ_GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace tasq

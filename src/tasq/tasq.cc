@@ -32,13 +32,27 @@ struct Tasq::Impl {
   std::unique_ptr<GnnPccModel> gnn;
   Featurizer featurizer;
 
-  // Featurizes and standardizes one unseen job.
-  Result<JobFeatures> Featurize(const JobGraph& graph) const {
+  // The standardized job-level row (kJobFeatureDim doubles at `row`) —
+  // all that the NN and both XGBoost variants read. Allocation-free.
+  TASQ_NODISCARD Status ScaledJobRow(const JobGraph& graph,
+                                     double* row) const {
+    Status featurized = featurizer.JobLevelInto(graph, row);
+    if (!featurized.ok()) return featurized;
+    scalers->job_scaler.TransformRow(row, Featurizer::kJobFeatureDim);
+    return Status::Ok();
+  }
+
+  // GNN only: the full featurization, with the operator matrix
+  // standardized (the GNN never reads the job-level vector).
+  TASQ_NODISCARD Result<PowerLawPcc> PredictGnn(const JobGraph& graph) const {
     Result<JobFeatures> features = featurizer.Featurize(graph);
     if (!features.ok()) return features.status();
-    scalers->job_scaler.Transform(features.value().job_vector);
     scalers->op_scaler.TransformMatrix(features.value().op_matrix);
-    return features;
+    GraphExample example;
+    example.num_nodes = features.value().num_operators;
+    example.node_features = std::move(features.value().op_matrix);
+    example.norm_adjacency = std::move(features.value().norm_adjacency);
+    return gnn->Predict(example);
   }
 };
 
@@ -207,38 +221,13 @@ const DatasetScalers* Tasq::scalers() const { return impl_->scalers.get(); }
 
 Result<PowerLawPcc> Tasq::PredictPcc(const JobGraph& graph, ModelKind kind,
                                      double reference_tokens) const {
-  if (!impl_->trained) {
-    return Status::FailedPrecondition("pipeline has not been trained");
-  }
-  Result<JobFeatures> features = impl_->Featurize(graph);
-  if (!features.ok()) return features.status();
-  switch (kind) {
-    case ModelKind::kXgboostSs:
-      return Status::InvalidArgument(
-          "XGBoost SS has no parametric PCC; use PredictCurve");
-    case ModelKind::kXgboostPl:
-      if (impl_->xgb == nullptr) {
-        return Status::FailedPrecondition("XGBoost model was not trained");
-      }
-      return impl_->xgb->PredictPowerLawPcc(features.value().job_vector,
-                                            reference_tokens);
-    case ModelKind::kNn:
-      if (impl_->nn == nullptr) {
-        return Status::FailedPrecondition("NN model was not trained");
-      }
-      return impl_->nn->Predict(features.value().job_vector);
-    case ModelKind::kGnn: {
-      if (impl_->gnn == nullptr) {
-        return Status::FailedPrecondition("GNN model was not trained");
-      }
-      GraphExample example;
-      example.num_nodes = features.value().num_operators;
-      example.node_features = std::move(features.value().op_matrix);
-      example.norm_adjacency = std::move(features.value().norm_adjacency);
-      return impl_->gnn->Predict(example);
-    }
-  }
-  return Status::Internal("unknown model kind");
+  const JobGraph* graphs[] = {&graph};
+  TasqBatchScratch scratch;
+  PowerLawPcc pcc;
+  Status status =
+      PredictPccBatchInto(graphs, 1, kind, &reference_tokens, scratch, &pcc);
+  if (!status.ok()) return status;
+  return pcc;
 }
 
 Result<std::vector<PccSample>> Tasq::PredictCurve(
@@ -254,12 +243,13 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
     if (impl_->xgb == nullptr) {
       return Status::FailedPrecondition("XGBoost model was not trained");
     }
-    Result<JobFeatures> features = impl_->Featurize(graph);
-    if (!features.ok()) return features.status();
+    std::vector<double> row(Featurizer::kJobFeatureDim);
+    Status featurized = impl_->ScaledJobRow(graph, row.data());
+    if (!featurized.ok()) return featurized;
     // Smooth over the model's reference window, then evaluate at the grid
     // by fitting the spline directly to the smoothed knots.
-    Result<std::vector<PccSample>> smoothed = impl_->xgb->PredictSmoothedCurve(
-        features.value().job_vector, reference_tokens);
+    Result<std::vector<PccSample>> smoothed =
+        impl_->xgb->PredictSmoothedCurve(row, reference_tokens);
     if (!smoothed.ok()) return smoothed.status();
     std::vector<double> x;
     std::vector<double> y;
@@ -375,25 +365,6 @@ TokenRecommendation RecommendFromPowerLaw(const PowerLawPcc& pcc,
   return recommendation;
 }
 
-Result<std::vector<PowerLawPcc>> Tasq::PredictPccBatch(
-    const std::vector<const JobGraph*>& graphs, ModelKind kind,
-    const std::vector<double>& reference_tokens) const {
-  if (!impl_->trained) {
-    return Status::FailedPrecondition("pipeline has not been trained");
-  }
-  if (graphs.size() != reference_tokens.size()) {
-    return Status::InvalidArgument(
-        "graphs and reference_tokens must align element-wise");
-  }
-  std::vector<PowerLawPcc> out(graphs.size());
-  TasqBatchScratch scratch;
-  Status status = PredictPccBatchInto(graphs.data(), graphs.size(), kind,
-                                      reference_tokens.data(), scratch,
-                                      out.data());
-  if (!status.ok()) return status;
-  return out;
-}
-
 Status Tasq::PredictPccBatchInto(const JobGraph* const* graphs, size_t count,
                                  ModelKind kind,
                                  const double* reference_tokens,
@@ -402,47 +373,69 @@ Status Tasq::PredictPccBatchInto(const JobGraph* const* graphs, size_t count,
   if (!impl_->trained) {
     return Status::FailedPrecondition("pipeline has not been trained");
   }
-  if (kind == ModelKind::kXgboostSs) {
-    return Status::InvalidArgument(
-        "XGBoost SS has no parametric PCC; use PredictCurve");
-  }
-  if (kind == ModelKind::kNn) {
-    if (impl_->nn == nullptr) {
-      return Status::FailedPrecondition("NN model was not trained");
-    }
-    if (count == 0) return Status::Ok();
-    constexpr size_t dim = Featurizer::kJobFeatureDim;
-    if (impl_->nn->input_dim() != dim) {
-      return Status::InvalidArgument("feature matrix size mismatch");
-    }
-    // One forward pass over the stacked feature rows. Row i of a batched
-    // matrix product accumulates in exactly the per-row order, so results
-    // are bit-identical to per-graph prediction. Featurization goes
-    // through the allocation-free JobLevelInto/TransformRow pair straight
-    // into the reused scratch matrix.
-    scratch.rows.resize(count * dim);
-    for (size_t i = 0; i < count; ++i) {
-      if (graphs[i] == nullptr) {
-        return Status::InvalidArgument("null graph in batch");
-      }
-      double* row = scratch.rows.data() + i * dim;
-      Status featurized = impl_->featurizer.JobLevelInto(*graphs[i], row);
-      if (!featurized.ok()) return featurized;
-      impl_->scalers->job_scaler.TransformRow(row, dim);
-    }
-    return impl_->nn->PredictBatchInto(scratch.rows.data(), count,
-                                       scratch.nn, out);
-  }
   for (size_t i = 0; i < count; ++i) {
     if (graphs[i] == nullptr) {
       return Status::InvalidArgument("null graph in batch");
     }
-    Result<PowerLawPcc> pcc =
-        PredictPcc(*graphs[i], kind, reference_tokens[i]);
-    if (!pcc.ok()) return pcc.status();
-    out[i] = pcc.value();
   }
-  return Status::Ok();
+  // NN and XGBoost-PL read only the standardized job-level rows, built
+  // straight into the reused scratch matrix.
+  constexpr size_t dim = Featurizer::kJobFeatureDim;
+  auto scale_rows = [&]() -> Status {
+    scratch.rows.resize(count * dim);
+    for (size_t i = 0; i < count; ++i) {
+      Status featurized =
+          impl_->ScaledJobRow(*graphs[i], scratch.rows.data() + i * dim);
+      if (!featurized.ok()) return featurized;
+    }
+    return Status::Ok();
+  };
+  switch (kind) {
+    case ModelKind::kXgboostSs:
+      return Status::InvalidArgument(
+          "XGBoost SS has no parametric PCC; use PredictCurve");
+    case ModelKind::kXgboostPl: {
+      if (impl_->xgb == nullptr) {
+        return Status::FailedPrecondition("XGBoost model was not trained");
+      }
+      Status scaled = scale_rows();
+      if (!scaled.ok()) return scaled;
+      for (size_t i = 0; i < count; ++i) {
+        const double* row = scratch.rows.data() + i * dim;
+        Result<PowerLawPcc> pcc = impl_->xgb->PredictPowerLawPcc(
+            std::vector<double>(row, row + dim), reference_tokens[i]);
+        if (!pcc.ok()) return pcc.status();
+        out[i] = pcc.value();
+      }
+      return Status::Ok();
+    }
+    case ModelKind::kNn: {
+      if (impl_->nn == nullptr) {
+        return Status::FailedPrecondition("NN model was not trained");
+      }
+      if (impl_->nn->input_dim() != dim) {
+        return Status::InvalidArgument("feature matrix size mismatch");
+      }
+      Status scaled = scale_rows();
+      if (!scaled.ok()) return scaled;
+      // One forward pass over the stacked rows. Row i of a batched matrix
+      // product accumulates in exactly the per-row order, so results are
+      // bit-identical to a batch of one.
+      return impl_->nn->PredictBatchInto(scratch.rows.data(), count,
+                                         scratch.nn, out);
+    }
+    case ModelKind::kGnn:
+      if (impl_->gnn == nullptr) {
+        return Status::FailedPrecondition("GNN model was not trained");
+      }
+      for (size_t i = 0; i < count; ++i) {
+        Result<PowerLawPcc> pcc = impl_->PredictGnn(*graphs[i]);
+        if (!pcc.ok()) return pcc.status();
+        out[i] = pcc.value();
+      }
+      return Status::Ok();
+  }
+  return Status::Internal("unknown model kind");
 }
 
 }  // namespace tasq

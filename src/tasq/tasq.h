@@ -73,10 +73,11 @@ struct TasqBatchScratch {
 /// and predicts its PCC / optimal token count.
 ///
 /// Thread-safety contract: once trained (or loaded), a Tasq is immutable —
-/// every const scoring method (PredictPcc / PredictPccBatch / PredictCurve
-/// / PredictRuntime / RecommendTokens, and BuildWhatIfReport on top of
-/// them) touches no mutable or lazily-initialized state and is safe to
-/// call from any number of threads concurrently on the same instance. The
+/// every const scoring method (PredictPcc / PredictPccBatchInto /
+/// PredictCurve / PredictRuntime / RecommendTokens, and BuildWhatIfReport
+/// on top of them) touches no mutable or lazily-initialized state and is
+/// safe to call from any number of threads concurrently on the same
+/// instance. The
 /// serving layer (serve/server.h) relies on this to share one pipeline
 /// across its worker pool. Train / Save / Load and moves are NOT safe to
 /// run concurrently with scoring.
@@ -90,31 +91,26 @@ class Tasq {
   /// Trains all configured models from observed historical jobs.
   TASQ_NODISCARD Status Train(const std::vector<ObservedJob>& observed);
 
-  /// Predicts the PCC of an unseen job from its compile-time graph.
-  /// `reference_tokens` is the submitted/default token count — required for
-  /// the XGBoost variants, whose curves are local to a reference window.
-  /// XGBoost-SS has no parametric form, so only sampled-curve prediction is
-  /// offered for it (see PredictCurve).
+  /// Predicts the PCC of an unseen job from its compile-time graph: a
+  /// batch of one through PredictPccBatchInto. `reference_tokens` is the
+  /// submitted/default token count — required for the XGBoost variants,
+  /// whose curves are local to a reference window. XGBoost-SS has no
+  /// parametric form, so only sampled-curve prediction is offered for it
+  /// (see PredictCurve).
   TASQ_NODISCARD Result<PowerLawPcc> PredictPcc(const JobGraph& graph, ModelKind kind,
                                  double reference_tokens) const;
 
-  /// Batch PCC prediction for the parametric model kinds: entry i of the
-  /// result corresponds to graphs[i] / reference_tokens[i]. Predictions
-  /// are bit-identical to calling PredictPcc per graph; the NN additionally
-  /// runs the whole batch through a single forward pass, which is what the
-  /// serving layer batches for. Fails for XGBoost-SS (no parametric form)
-  /// and on the first graph that fails to featurize.
-  TASQ_NODISCARD Result<std::vector<PowerLawPcc>> PredictPccBatch(
-      const std::vector<const JobGraph*>& graphs, ModelKind kind,
-      const std::vector<double>& reference_tokens) const;
-
-  /// PredictPccBatch into caller storage: out[i] corresponds to
-  /// graphs[i] / reference_tokens[i] (each of length `count`).
-  /// Bit-identical to PredictPccBatch (which delegates here), but reuses
-  /// `scratch` so a serving loop that recycles one scratch performs the
-  /// whole featurize-and-predict NN path without heap allocation once
-  /// warm — the cold-submit-path budget in BENCH_serving.json rests on
-  /// this.
+  /// Batch PCC prediction for the parametric model kinds, and the one
+  /// place that dispatches on the model kind: out[i] corresponds to
+  /// graphs[i] / reference_tokens[i] (each of length `count`). NN and
+  /// XGBoost-PL read only the standardized job-level row; the full
+  /// operator matrix and adjacency are built for the GNN alone. The NN
+  /// runs the whole batch through a single forward pass, bit-identical
+  /// per row to a batch of one, and reuses `scratch` so a serving loop
+  /// that recycles one scratch performs the whole featurize-and-predict
+  /// NN path without heap allocation once warm — the cold-submit-path
+  /// budget in BENCH_serving.json rests on this. Fails for XGBoost-SS (no
+  /// parametric form) and on the first graph that fails to featurize.
   TASQ_NODISCARD Status PredictPccBatchInto(const JobGraph* const* graphs,
                                             size_t count, ModelKind kind,
                                             const double* reference_tokens,

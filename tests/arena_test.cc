@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -136,8 +135,8 @@ TEST(ArenaTest, NewObjectDtorsRunAtDestruction) {
 }
 
 TEST(ArenaVectorTest, ReserveFillReadBack) {
-  ScratchArena scratch;
-  ArenaVector<double> v = scratch.MakeVector<double>();
+  Arena arena;
+  ArenaVector<double> v{ArenaAllocator<double>(&arena)};
   v.reserve(512);
   for (int i = 0; i < 512; ++i) {
     v.push_back(i * 0.5);
@@ -147,42 +146,21 @@ TEST(ArenaVectorTest, ReserveFillReadBack) {
 }
 
 TEST(ArenaVectorTest, SteadyStateLoopKeepsBlockCountFlat) {
-  ScratchArena scratch(/*block_bytes=*/4096);
+  Arena arena(/*block_bytes=*/4096);
   size_t warm_blocks = 0;
   for (int round = 0; round < 20; ++round) {
-    scratch.Reset();
-    ArenaVector<int> v = scratch.MakeVector<int>();
+    arena.Reset();
+    ArenaVector<int> v{ArenaAllocator<int>(&arena)};
     v.reserve(256);
     for (int i = 0; i < 256; ++i) {
       v.push_back(i);
     }
     if (round == 4) {
-      warm_blocks = scratch.arena().block_count();
+      warm_blocks = arena.block_count();
     }
     if (round > 4) {
-      ASSERT_EQ(scratch.arena().block_count(), warm_blocks)
-          << "round " << round;
+      ASSERT_EQ(arena.block_count(), warm_blocks) << "round " << round;
     }
-  }
-}
-
-TEST(ArenaStringTest, BuildsFromArenaStorage) {
-  ScratchArena scratch;
-  ArenaString s = scratch.MakeString();
-  for (int i = 0; i < 100; ++i) {
-    s += "ab";
-  }
-  EXPECT_EQ(s.size(), 200u);
-  EXPECT_EQ(s[0], 'a');
-  EXPECT_EQ(s[199], 'b');
-}
-
-TEST(ScratchArenaTest, MakeVectorSizedIsValueInitialized) {
-  ScratchArena scratch;
-  ArenaVector<double> v = scratch.MakeVector<double>(64);
-  ASSERT_EQ(v.size(), 64u);
-  for (double x : v) {
-    ASSERT_EQ(x, 0.0);
   }
 }
 

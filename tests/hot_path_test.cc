@@ -200,7 +200,7 @@ TEST_F(HotPathTest, WarmCacheHitPathAllocatesExactlyZero) {
 // assembly — stays within a single-digit allocation budget. Featurization
 // runs through Featurizer::JobLevelInto (stack row), inference through
 // Tasq::PredictPccBatchInto (reused matrices), and batch assembly through
-// the drainer's ScratchArena, so what remains per request is the future's
+// the drainer's Arena, so what remains per request is the future's
 // shared state, the report's curve vectors, and amortized queue blocks.
 TEST_F(HotPathTest, ColdSubmitPathStaysWithinAllocationBudget) {
   constexpr int kRequests = 192;

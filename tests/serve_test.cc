@@ -90,21 +90,29 @@ WhatIfReport TinyReport(double reference_tokens) {
   return report;
 }
 
+// A counted lookup that discards the report.
+bool Hit(ReportCache& cache, const ReportCacheKey& key) {
+  WhatIfReport report;
+  return cache.GetInto(key, &report);
+}
+
 TEST(ServeCacheTest, HitMissAndLruEviction) {
   ReportCache cache(2);
   ReportCacheKey a{1, ModelKind::kNn, 10.0, 9};
   ReportCacheKey b{2, ModelKind::kNn, 10.0, 9};
   ReportCacheKey c{3, ModelKind::kNn, 10.0, 9};
 
-  EXPECT_FALSE(cache.Get(a).has_value());
+  EXPECT_FALSE(Hit(cache, a));
   cache.Put(a, TinyReport(1.0));
   cache.Put(b, TinyReport(2.0));
-  ASSERT_TRUE(cache.Get(a).has_value());  // Refreshes a's recency.
-  EXPECT_DOUBLE_EQ(cache.Get(a)->reference_tokens, 1.0);
+  ASSERT_TRUE(Hit(cache, a));  // Refreshes a's recency.
+  WhatIfReport report;
+  ASSERT_TRUE(cache.GetInto(a, &report));
+  EXPECT_DOUBLE_EQ(report.reference_tokens, 1.0);
   cache.Put(c, TinyReport(3.0));  // Evicts b (least recently used), not a.
-  EXPECT_TRUE(cache.Get(a).has_value());
-  EXPECT_FALSE(cache.Get(b).has_value());
-  EXPECT_TRUE(cache.Get(c).has_value());
+  EXPECT_TRUE(Hit(cache, a));
+  EXPECT_FALSE(Hit(cache, b));
+  EXPECT_TRUE(Hit(cache, c));
 
   ReportCacheCounters counters = cache.counters();
   EXPECT_EQ(counters.evictions, 1u);
@@ -126,11 +134,11 @@ TEST(ServeCacheTest, KeyDistinguishesEveryScoringKnob) {
   other_grid.grid_points = 17;
   ReportCacheKey other_fingerprint = base;
   other_fingerprint.fingerprint = 43;
-  EXPECT_TRUE(cache.Get(base).has_value());
-  EXPECT_FALSE(cache.Get(other_model).has_value());
-  EXPECT_FALSE(cache.Get(other_tokens).has_value());
-  EXPECT_FALSE(cache.Get(other_grid).has_value());
-  EXPECT_FALSE(cache.Get(other_fingerprint).has_value());
+  EXPECT_TRUE(Hit(cache, base));
+  EXPECT_FALSE(Hit(cache, other_model));
+  EXPECT_FALSE(Hit(cache, other_tokens));
+  EXPECT_FALSE(Hit(cache, other_grid));
+  EXPECT_FALSE(Hit(cache, other_fingerprint));
 }
 
 TEST(ServeCacheTest, SignedZeroTokensHashToTheSameBucket) {
@@ -144,7 +152,7 @@ TEST(ServeCacheTest, SignedZeroTokensHashToTheSameBucket) {
   ASSERT_TRUE(positive == negative);
   EXPECT_EQ(ReportCacheKeyHash()(positive), ReportCacheKeyHash()(negative));
   cache.Put(negative, TinyReport(1.0));
-  EXPECT_TRUE(cache.Get(positive).has_value());
+  EXPECT_TRUE(Hit(cache, positive));
   EXPECT_EQ(cache.counters().size, 1u);
 }
 
@@ -152,7 +160,7 @@ TEST(ServeCacheTest, ZeroCapacityDisablesCaching) {
   ReportCache cache(0);
   ReportCacheKey key{7, ModelKind::kNn, 10.0, 9};
   cache.Put(key, TinyReport(1.0));
-  EXPECT_FALSE(cache.Get(key).has_value());
+  EXPECT_FALSE(Hit(cache, key));
   EXPECT_EQ(cache.counters().insertions, 0u);
 }
 
@@ -378,8 +386,8 @@ TEST_F(ServeServerTest, InvalidGraphFailsThatRequestOnly) {
 TEST_F(ServeServerTest, StatsSnapshotIsCoherentAndPrintable) {
   std::vector<ScoreRequest> requests = MakeRequests(1000, 5, ModelKind::kNn);
   PccServer server(*pipeline_, PccServerOptions{});
-  for (const ScoreRequest& request : requests) {
-    ASSERT_TRUE(server.Score(request).ok());
+  for (const Result<WhatIfReport>& result : server.ScoreBatch(requests)) {
+    ASSERT_TRUE(result.ok());
   }
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.received, 5u);
@@ -387,6 +395,18 @@ TEST_F(ServeServerTest, StatsSnapshotIsCoherentAndPrintable) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_EQ(stats.batched_requests, 5u);
+  // Both batch counts land before any future of their batch resolves.
+  EXPECT_EQ(stats.queue_wait.count, stats.batched_requests);
+  EXPECT_LE(stats.queue_wait.p50_ms(), stats.queue_wait.p99_ms());
+  EXPECT_LE(stats.queue_wait.p99_ms(), stats.queue_wait.max_ms);
+  // A batch's scoring time is recorded after its futures resolve, so the
+  // inference histogram is exact once the drainers have exited.
+  server.Shutdown();
+  ServerStats drained = server.Stats();
+  EXPECT_EQ(drained.batches, stats.batches);
+  EXPECT_EQ(drained.inference.count, drained.batches);
+  EXPECT_LE(drained.inference.p50_ms(), drained.inference.p99_ms());
+  EXPECT_LE(drained.inference.p99_ms(), drained.inference.max_ms);
   EXPECT_EQ(stats.end_to_end.count, 5u);
   EXPECT_GT(stats.end_to_end.total_ms, 0.0);
   // Tail latency comes from the lock-free histogram: quantiles are

@@ -136,8 +136,30 @@ TEST_F(TasqFixture, AllModelsTrainAndPredict) {
     EXPECT_GT(pcc.value().b, 0.0);
   }
   // XGBoost SS exposes curves, not parameters.
-  EXPECT_FALSE(
-      pipeline_->PredictPcc(graph, ModelKind::kXgboostSs, reference).ok());
+  EXPECT_EQ(
+      pipeline_->PredictPcc(graph, ModelKind::kXgboostSs, reference)
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  // An invalid graph fails with the code its own validation gives, on the
+  // single-job path and on the curve path alike.
+  JobGraph invalid = graph;
+  invalid.operators.back().inputs.push_back(
+      static_cast<int>(invalid.operators.size()));
+  StatusCode invalid_code = invalid.Validate().code();
+  ASSERT_NE(invalid_code, StatusCode::kOk);
+  for (ModelKind kind :
+       {ModelKind::kXgboostPl, ModelKind::kNn, ModelKind::kGnn}) {
+    EXPECT_EQ(pipeline_->PredictPcc(invalid, kind, reference).status().code(),
+              invalid_code)
+        << ModelKindName(kind);
+  }
+  EXPECT_EQ(pipeline_
+                ->PredictCurve(invalid, ModelKind::kXgboostSs, reference,
+                               {reference})
+                .status()
+                .code(),
+            invalid_code);
   Result<std::vector<PccSample>> curve = pipeline_->PredictCurve(
       graph, ModelKind::kXgboostSs, reference, {reference * 0.8, reference});
   ASSERT_TRUE(curve.ok());
@@ -255,9 +277,30 @@ TEST_F(TasqFixture, PredictRuntimeMatchesPccEvaluation) {
 TEST_F(TasqFixture, UntrainedPipelineFailsCleanly) {
   Tasq fresh;
   const JobGraph& graph = (*test_observed_)[0].job.graph;
-  EXPECT_FALSE(fresh.PredictPcc(graph, ModelKind::kNn, 10.0).ok());
-  EXPECT_FALSE(fresh.RecommendTokens(graph, ModelKind::kNn, 10.0).ok());
+  for (ModelKind kind : {ModelKind::kXgboostSs, ModelKind::kXgboostPl,
+                         ModelKind::kNn, ModelKind::kGnn}) {
+    EXPECT_EQ(fresh.PredictPcc(graph, kind, 10.0).status().code(),
+              StatusCode::kFailedPrecondition)
+        << ModelKindName(kind);
+  }
+  EXPECT_EQ(fresh.RecommendTokens(graph, ModelKind::kNn, 10.0).status().code(),
+            StatusCode::kFailedPrecondition);
   EXPECT_FALSE(fresh.trained());
+
+  // A model family left out of training fails the same way, while the
+  // families that were trained still score.
+  TasqOptions options;
+  options.nn.epochs = 2;
+  options.xgb.gbdt.num_trees = 5;
+  options.train_gnn = false;
+  Tasq without_gnn(options);
+  std::vector<ObservedJob> few(train_observed_->begin(),
+                               train_observed_->begin() + 60);
+  ASSERT_TRUE(without_gnn.Train(few).ok());
+  EXPECT_EQ(
+      without_gnn.PredictPcc(graph, ModelKind::kGnn, 10.0).status().code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(without_gnn.PredictPcc(graph, ModelKind::kNn, 10.0).ok());
 }
 
 }  // namespace

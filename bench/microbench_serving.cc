@@ -206,7 +206,7 @@ int main() {
 
   // The TASQ_HOT fast path: synchronous TryScoreCached against a primed
   // cache with one reused report buffer — the zero-allocation serving
-  // loop that scripts/tasq_hot.py and tests/hot_path_test.cc enforce.
+  // loop that `tasq_check.py hot` and tests/hot_path_test.cc enforce.
   {
     PccServerOptions options;
     options.num_threads = 1;

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Runs the full correctness matrix locally:
 #
-#   1. analyzers          every conformance analyzer (tasq_lint, tasq_arch,
-#                         tasq_num, tasq_hot, tasq_sync, tasq_own,
-#                         tasq_vec): repo run, self-test, and an
-#                         empty-baseline gate each. tasq_vec first builds
-#                         the compiler's vectorization report (see below).
-#                         CI's static-analysis job invokes this leg
-#                         verbatim, so the local and CI analyzer matrices
-#                         cannot drift. (`lint` is a deprecated alias.)
+#   1. analyzers          scripts/tasq_check.py: every conformance rule
+#                         set (lint, arch, num, hot, sync, own, vec)
+#                         against the repo, then every set's self-test.
+#                         The vec set first needs the compiler's
+#                         vectorization report (see below). CI's
+#                         static-analysis job invokes this leg verbatim,
+#                         so the local and CI analyzer runs cannot drift.
 #   2. Release            build + full ctest
 #   3. ASan + UBSan       build + full ctest
 #   4. TSan               build + the concurrency-sensitive tests
@@ -54,68 +53,25 @@ run_leg() {
   fi
 }
 
-# A baseline that regrows silently converts "enforced" into "suggested":
-# every analyzer baseline must contain nothing but comments and blanks.
-require_empty_baseline() {
-  local path="$1"
-  if grep -vE '^\s*(#|$)' "${path}" >/dev/null 2>&1; then
-    echo "ERROR: ${path} must stay empty (found accepted findings):" >&2
-    grep -vE '^\s*(#|$)' "${path}" >&2
-    exit 1
-  fi
-  echo "   ${path}: empty (gate holds)"
-}
-
-# One analyzer: repo run + self-test + (when baselined) empty-baseline
-# gate. This is THE analyzer matrix — CI's static-analysis job calls
-# `scripts/check.sh analyzers` verbatim rather than restating it.
-run_analyzer() {
-  local script="$1" what="$2" baseline="${3:-}"
-  echo "== analyzers: ${script} (${what}) =="
-  python3 "scripts/${script}"
-  echo "== analyzers: ${script} self-test =="
-  python3 "scripts/${script}" --self-test
-  if [[ -n "${baseline}" ]]; then
-    require_empty_baseline "scripts/${baseline}"
-  fi
-}
-
+# The vec set audits compiler output rather than source text, so the leg
+# first builds src/ with -DTASQ_VEC_REPORT=ON (Release flags — the
+# vectorizer must see what the shipped code sees). GCC *appends* to
+# vec_report.txt: only TUs actually compiled contribute lines, so the
+# report is deleted up front AND the build runs --clean-first — an
+# incremental rebuild would produce a report missing every up-to-date TU
+# (their loops would all read as vec-unresolved), while keeping the old
+# report would let stale lines vouch for loops that no longer vectorize.
 analyzers_leg() {
-  run_analyzer tasq_lint.py "style & API conformance" lint_baseline.txt
-  run_analyzer tasq_arch.py "layering, include hygiene, nodiscard" \
-               arch_baseline.txt
-  run_analyzer tasq_num.py "numerics & determinism conformance" \
-               num_baseline.txt
-  run_analyzer tasq_hot.py "hot-path performance conformance" \
-               hot_baseline.txt
-  run_analyzer tasq_sync.py "atomics & lock-free conformance" \
-               sync_baseline.txt
-  run_analyzer tasq_own.py "ownership & allocation discipline" \
-               own_baseline.txt
-  vec_analyzer
-}
-
-# tasq_vec.py is the one analyzer that audits compiler output rather
-# than source text, so it first builds src/ with -DTASQ_VEC_REPORT=ON
-# (Release flags — the vectorizer must see what the shipped code sees).
-# GCC *appends* to vec_report.txt: only TUs actually compiled contribute
-# lines, so the report is deleted up front AND the build runs
-# --clean-first — an incremental rebuild would produce a report missing
-# every up-to-date TU (their loops would all read as vec-unresolved),
-# while keeping the old report would let stale lines vouch for loops
-# that no longer vectorize.
-vec_analyzer() {
-  echo "== analyzers: tasq_vec.py report build (build-check-vec) =="
+  echo "== analyzers: vectorization report build (build-check-vec) =="
   cmake -B build-check-vec -S . -DCMAKE_BUILD_TYPE=Release \
         -DTASQ_VEC_REPORT=ON >/dev/null
   rm -f build-check-vec/vec_report.txt
   cmake --build build-check-vec --target tasq_vec_report -j "${JOBS}" \
         --clean-first >/dev/null
-  echo "== analyzers: tasq_vec.py (vectorization conformance) =="
-  python3 scripts/tasq_vec.py --report build-check-vec/vec_report.txt
-  echo "== analyzers: tasq_vec.py self-test =="
-  python3 scripts/tasq_vec.py --self-test
-  require_empty_baseline scripts/vec_baseline.txt
+  echo "== analyzers: tasq_check.py (every rule set) =="
+  python3 scripts/tasq_check.py --report build-check-vec/vec_report.txt
+  echo "== analyzers: tasq_check.py --self-test =="
+  python3 scripts/tasq_check.py --self-test
 }
 
 LEGS=("$@")
@@ -123,7 +79,7 @@ if [[ ${#LEGS[@]} -eq 0 ]]; then LEGS=(analyzers release asan tsan fpe); fi
 
 for leg in "${LEGS[@]}"; do
   case "${leg}" in
-    analyzers|lint) analyzers_leg ;;
+    analyzers) analyzers_leg ;;
     release) run_leg "release" build-check-release "" "" ;;
     asan) run_leg "asan+ubsan" build-check-asan "address;undefined" "" ;;
     # TSan's scheduler interleaving makes the full suite slow; the

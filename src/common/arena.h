@@ -19,7 +19,7 @@ namespace tasq {
 /// with the serving layer's BatchScratch arena-backed it pays a single
 /// block refill in steady state, pinned by tests/hot_path_test.cc).
 ///
-/// Lifetime model — enforced statically by scripts/tasq_own.py:
+/// Lifetime model — enforced statically by `tasq_check.py own`:
 ///
 ///   - Every pointer handed out by Alloc/New/NewObject/NewArray is valid
 ///     until the *owning arena's* next Reset() (or destruction). Storing

@@ -15,7 +15,7 @@
 /// exp overflow, or NaN gradient silently poisons the fit and every
 /// allocation decision downstream. This header is the one place raw
 /// `std::log/exp/pow/sqrt` may appear in src/ (enforced by
-/// scripts/tasq_num.py, rule raw-transcendental); everything else calls
+/// scripts/tasq_check.py num, rule raw-transcendental); everything else calls
 /// through one of three tiers:
 ///
 ///   - `Safe*` returning `Result<double>`: for API paths where a domain

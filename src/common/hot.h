@@ -1,8 +1,8 @@
 #ifndef TASQ_COMMON_HOT_H_
 #define TASQ_COMMON_HOT_H_
 
-/// Hot-path performance annotation — the marker behind the
-/// scripts/tasq_hot.py conformance analyzer (see DESIGN.md, "Hot-path
+/// Hot-path performance annotation — the marker behind the hot rule set
+/// of scripts/tasq_check.py (see DESIGN.md, "Hot-path
 /// conformance").
 ///
 /// `TASQ_HOT` goes immediately before the return type of a function
@@ -12,15 +12,15 @@
 ///   TASQ_HOT uint64_t Fingerprint() const;
 ///
 /// The annotation is a *contract*, enforced transitively over the static
-/// call graph by scripts/tasq_hot.py: the function, and every src/
+/// call graph by `tasq_check.py hot`: the function, and every src/
 /// function reachable from it, must be
 ///
 ///   - allocation-free: no new/malloc/make_unique, no container growth
 ///     (push_back/resize/insert/...), no std::string construction, no
 ///     std::function (its captures heap-allocate);
-///   - lock-free except for locks on the declared shard-local allowlist
-///     (scripts/hot_locks.txt) — O(1) critical sections that are never
-///     held across allocation, I/O, or another lock;
+///   - lock-free: no MutexLock, lock_guard or .lock(); the serving fast
+///     path takes no lock at all, so a reviewed exception needs a waiver
+///     like any other rule;
 ///   - non-blocking: no sleeps, no condition-variable waits, no I/O;
 ///   - abort-free: no throw, no abort/exit, no TASQ_CHECK (use
 ///     TASQ_DCHECK, which compiles out of Release serving builds).
@@ -37,8 +37,8 @@
 /// measure exactly zero heap allocations per request.
 #define TASQ_HOT
 
-/// Vectorization annotation — the marker behind the scripts/tasq_vec.py
-/// conformance analyzer (see DESIGN.md, "Vectorization policy").
+/// Vectorization annotation — the marker behind the vec rule set of
+/// scripts/tasq_check.py (see DESIGN.md, "Vectorization policy").
 ///
 /// `TASQ_VEC` goes on its own line (or the same line) immediately before
 /// a `for`/`while` loop that MUST auto-vectorize:
@@ -50,7 +50,7 @@
 /// against the source text: a dedicated build (cmake -DTASQ_VEC_REPORT=ON)
 /// compiles src/ with the compiler's vectorizer report enabled
 /// (-fopt-info-vec-all on GCC, -fsave-optimization-record on Clang) and
-/// scripts/tasq_vec.py maps the report back to every annotated loop. An
+/// `tasq_check.py --report` maps it back to every annotated loop. An
 /// annotated loop the compiler reports as "not vectorized" fails the
 /// analyzer with the compiler's own reason (aliasing, non-contiguous
 /// access, function call in loop, ...); an annotation that binds to no

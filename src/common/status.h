@@ -6,14 +6,16 @@
 #include <utility>
 
 /// Marks a function whose return value carries an error signal the caller
-/// must consume. Every function returning Status or Result<T> by value is
-/// annotated (enforced by scripts/tasq_arch.py, rule nodiscard-missing),
-/// so silently dropping an error is a compiler warning — and an error in
-/// CI, which builds with -Werror. To ignore a result deliberately, write
+/// must consume. Status and Result<T> are also [[nodiscard]] at class
+/// level, so dropping one is a compiler warning with or without this
+/// macro — and an error in CI, which builds with -Werror
+/// (tests/compile_fail proves both spellings). To ignore a result
+/// deliberately, write
 ///
 ///   (void)DoThing();  // reason the error is safe to ignore
 ///
-/// The reason comment is mandatory (rule discard-needs-reason).
+/// The reason comment is mandatory (scripts/tasq_check.py arch, rule
+/// discard-needs-reason).
 #define TASQ_NODISCARD [[nodiscard]]
 
 namespace tasq {

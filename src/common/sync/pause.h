@@ -11,7 +11,7 @@ namespace tasq {
 /// machine-clear penalty when the awaited line finally changes. Every
 /// busy-wait in src/ therefore calls CpuRelax() (or escalates to
 /// std::this_thread::yield()) in its body — enforced by the
-/// spin-without-pause rule of scripts/tasq_sync.py.
+/// spin-without-pause rule of scripts/tasq_check.py sync.
 ///
 /// The hint is not a fence and not a syscall: it never blocks, never
 /// allocates, and is safe inside TASQ_HOT code.

@@ -19,7 +19,7 @@
 /// The annotations only bite on types declared as capabilities — use the
 /// tasq::Mutex / tasq::MutexLock / tasq::CondVar wrappers from
 /// common/mutex.h, never raw std::mutex (enforced by the `raw-lock-in-src`
-/// and `mutex-unannotated` rules in scripts/tasq_lint.py).
+/// and `mutex-unannotated` rules of scripts/tasq_check.py lint).
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 

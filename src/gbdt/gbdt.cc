@@ -37,8 +37,8 @@ double SplitScore(double grad, double hess, double l2) {
 // The gather kernels take __restrict *parameters* rather than local
 // __restrict pointers: GCC only propagates the no-alias guarantee from
 // parameter qualifiers, and without it the gather loads get no vectype /
-// a possible-alias refusal (empirically verified; tasq_vec.py would
-// fire vec-not-vectorized on the local-pointer spelling).
+// a possible-alias refusal (empirically verified; tasq_check.py vec
+// would fire vec-not-vectorized on the local-pointer spelling).
 void GatherPack(const int* __restrict idx, const double* __restrict g,
                 const double* __restrict h, double* __restrict ng,
                 double* __restrict nh, size_t n) {

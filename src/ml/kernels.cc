@@ -4,7 +4,7 @@
 
 namespace tasq {
 
-// Every TASQ_VEC loop below is verified vectorized by scripts/tasq_vec.py
+// Every TASQ_VEC loop below is verified vectorized by tasq_check.py vec
 // against the compiler's own report (cmake -DTASQ_VEC_REPORT=ON). Keep
 // the bodies call-free and unit-stride; the annotation is a contract, not
 // a hint.

@@ -8,7 +8,7 @@ namespace tasq {
 /// Raw-span SIMD kernels for the dense-matrix layer (ml/matrix) and the
 /// batched NN forward pass (nn/nn_model). Every loop marked TASQ_VEC in
 /// kernels.cc is machine-checked against the compiler's vectorizer report
-/// by scripts/tasq_vec.py (cmake -DTASQ_VEC_REPORT=ON): a refactor that
+/// by `tasq_check.py vec` (cmake -DTASQ_VEC_REPORT=ON): a refactor that
 /// silently de-vectorizes one fails CI with the compiler's reason.
 ///
 /// Design rules (DESIGN.md, "Vectorization policy"):

@@ -19,7 +19,7 @@ namespace tasq {
 /// pass (matmul row update, bias broadcast, activation) walks memory with
 /// unit stride. The arithmetic lives in the __restrict raw-span kernels
 /// of ml/kernels.h, whose TASQ_VEC loops are machine-checked against the
-/// compiler's vectorizer report (scripts/tasq_vec.py).
+/// compiler's vectorizer report (scripts/tasq_check.py vec).
 class Matrix {
  public:
   /// An empty 0x0 matrix.

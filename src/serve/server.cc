@@ -240,10 +240,10 @@ void PccServer::ProcessBatch(BatchScratch& scratch) {
   std::vector<Pending>& batch = scratch.batch;
 
   // Everything assembled for this batch lives in the scratch arena and
-  // dies here: pointers below must not outlive this call (tasq_own.py's
-  // arena-escape rule). Reset keeps the arena's blocks, so the assembly
-  // is heap-allocation-free once the blocks have grown to the realized
-  // batch size.
+  // dies here: pointers below must not outlive this call (tasq_check.py,
+  // set own, rule arena-escape). Reset keeps the arena's blocks, so the
+  // assembly is heap-allocation-free once the blocks have grown to the
+  // realized batch size.
   Arena& arena = scratch.arena;
   arena.Reset();
 

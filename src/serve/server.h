@@ -123,9 +123,9 @@ class PccServer {
   /// report table is an immutable snapshot behind Snapshot<Table>
   /// (src/common/sync/snapshot.h), pinned lock-free per lookup. Pinned
   /// at exactly 0 allocations per warm hit by tests/hot_path_test.cc and
-  /// enforced transitively by scripts/tasq_hot.py (whose hot-mutex rule,
-  /// with ReportCache::GetInto now *off* the scripts/hot_locks.txt
-  /// allowlist, is the lock-freedom regression gate). Hits count into
+  /// enforced transitively by the hot set of scripts/tasq_check.py (whose
+  /// hot-mutex rule is the lock-freedom regression gate: no lock may
+  /// appear anywhere in the hot closure). Hits count into
   /// received/completed/cache_hits and end-to-end latency exactly like
   /// Submit-path requests.
   TASQ_HOT bool TryScoreCached(const ScoreRequest& request,
@@ -162,7 +162,7 @@ class PccServer {
   /// arena that Reset()s at each batch boundary: after the arena's
   /// blocks have grown to the realized batch size, the whole assembly
   /// path performs zero heap allocations per batch (src/common/arena.h;
-  /// the ownership rules are enforced by scripts/tasq_own.py). The
+  /// the own set of scripts/tasq_check.py enforces the ownership rules). The
   /// pending requests themselves stay in a std::vector — promises have
   /// nontrivial destructors and outlive the batch via their futures, so
   /// they must not live in the arena. `tasq` carries the feature-row and

@@ -63,7 +63,7 @@ struct JobGraph {
   /// depends only on graph content — never on addresses or iteration
   /// order — and is stable across runs, threads, and processes.
   /// TASQ_HOT: runs per request on the serving fast path; walks the
-  /// operators in place without allocating (scripts/tasq_hot.py).
+  /// operators in place without allocating (tasq_check.py hot).
   TASQ_HOT uint64_t Fingerprint() const;
 
   /// Checks ids are dense/ordered and inputs reference earlier operators.

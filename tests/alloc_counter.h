@@ -21,7 +21,7 @@
 // would double-charge caller-owned buffer churn.
 //
 // This mirrors the FPE-trap harness (tests/tasq_test_main.cc): the static
-// analyzer (scripts/tasq_hot.py) proves the absence of allocation calls
+// analyzer (`tasq_check.py hot`) proves the absence of allocation calls
 // in hot code, and this counter catches what static analysis cannot —
 // allocations hidden inside library calls, container growth the analyzer
 // was waived over, or std::function capture behind a template.

@@ -1,5 +1,5 @@
 // Runtime tier of the hot-path conformance story: the static analyzer
-// (scripts/tasq_hot.py) proves the TASQ_HOT serving path contains no
+// (`tasq_check.py hot`) proves the TASQ_HOT serving path contains no
 // allocation calls; these tests measure it. A counting operator new
 // (tests/alloc_counter.h) pins the warm cache-hit request path —
 // PccServer::TryScoreCached → JobGraph::Fingerprint → ReportCache::GetInto

@@ -127,9 +127,9 @@ int main() {
   // Cold submit path allocations/request: one thread, cache off, the
   // request stream moved in so only serving-side work is measured —
   // promise/future machinery, queue entries, featurization, NN inference,
-  // report assembly. The arena-backed BatchScratch plus scratch-reusing
-  // featurize/inference path (PR 9) holds this to the single-digit
-  // steady-state budget enforced by tests/hot_path_test.cc.
+  // report assembly. The worker-owned BatchScratch plus the
+  // scratch-reusing featurize/inference path hold this to the
+  // single-digit steady-state budget enforced by tests/hot_path_test.cc.
   {
     std::vector<ScoreRequest> stream = cold;  // Copy outside the meter.
     PccServerOptions cold_options;

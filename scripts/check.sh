@@ -47,9 +47,10 @@ run_leg() {
   cmake --build "${dir}" -j "${JOBS}" >/dev/null
   echo "== ${name}: ctest =="
   if [[ -n "${test_regex}" ]]; then
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" -R "${test_regex}"
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
+          --timeout 120 -R "${test_regex}"
   else
-    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" --timeout 120
   fi
 }
 
@@ -86,8 +87,8 @@ for leg in "${LEGS[@]}"; do
     # concurrency-sensitive suites (ParallelFor*, ParallelStress*, the
     # cluster simulator/scheduler + arbiter property tests, the serving
     # layer, the annotated mutex wrappers, and the lock-free sync
-    # primitives) are the ones a race can hide in. Keep this regex in
-    # lockstep with the tsan job in .github/workflows/ci.yml.
+    # primitives) are the ones a race can hide in. CI's tsan job runs
+    # this leg, so the selection is written only here.
     tsan) run_leg "tsan" build-check-tsan "thread" \
                   "Parallel|Cluster|Serve|Mutex|CondVar|Determinism|Arbiter|Sync" ;;
     # Full suite with FE_DIVBYZERO/FE_INVALID/FE_OVERFLOW delivering

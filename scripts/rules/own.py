@@ -1,25 +1,17 @@
 """own: ownership & allocation discipline for src/ (DESIGN.md, "Memory &
 ownership policy").
 
-  owning-raw-new           no raw new / delete / malloc-family call outside
-                           the allocator files (src/common/arena.h, where
-                           placement-new IS the implementation).
+  owning-raw-new           no raw new / delete / malloc-family call
+                           anywhere in src/.
   owning-raw-member        a raw-pointer data member says what it is:
                            `// own: borrowed <why>` (non-owning, outlived by
-                           the pointee) or `// own: arena <why>` (freed by
-                           the arena's Reset). These annotations are the
-                           rule's only waiver.
+                           the pointee). That annotation is the rule's only
+                           waiver.
   unique-ptr-by-value-sink no `unique_ptr<T>&` parameter (hides whether the
                            callee takes ownership: sink by value) and no
                            `const unique_ptr<T>&` (take T* / T&).
   shared-ptr-copy-in-loop  no shared_ptr copied in a loop body: each copy is
                            an atomic refcount RMW per iteration.
-  arena-escape             a pointer from an Arena (New / Alloc) is neither
-                           stored into a member nor returned: the arena's
-                           Reset() recycles it under the holder.
-  arena-nontrivial-dtor    Arena::New<T> skips destructors, so a T with a
-                           user-declared destructor or owning members goes
-                           through NewObject<T> instead.
 
 Other waivers read `// own: <reason>` on the offending line or the line
 directly above it.
@@ -30,13 +22,10 @@ import re
 from tasq_check import Finding, line_of, loop_regions, matching_end, waived
 
 RULES = ("owning-raw-new", "owning-raw-member", "unique-ptr-by-value-sink",
-         "shared-ptr-copy-in-loop", "arena-escape", "arena-nontrivial-dtor")
-
-# Files whose business IS raw memory.
-ALLOCATOR_FILES = frozenset(("src/common/arena.h",))
+         "shared-ptr-copy-in-loop")
 
 WAIVER_RE = re.compile(r"//\s*own:\s*\S")
-MEMBER_ANNOT_RE = re.compile(r"//\s*own:\s*(borrowed|arena)\s+\S")
+MEMBER_ANNOT_RE = re.compile(r"//\s*own:\s*borrowed\s+\S")
 
 # A new-expression (`new T`, `new (ptr) T`, `new[]`) or a malloc-family
 # call. `= delete` and `operator new/delete` names are filtered below.
@@ -67,20 +56,6 @@ SHARED_DECL_RE = re.compile(
     r"|\(\s*(?P<ctor>[^;)]+)\))\s*;")
 NON_COPY_INIT_RE = re.compile(
     r"std\s*::\s*move\b|make_shared\b|\bnullptr\b|^\s*$")
-# `Arena name` / `Arena& name` / `Arena* name`: local, parameter, member.
-ARENA_DECL_RE = re.compile(r"\bArena\s*[&*]?\s+([A-Za-z_]\w*)\b")
-ARENA_SITE_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*(New|NewObject|NewArray|Alloc)\b"
-    r"\s*(?:<\s*([A-Za-z_][\w:]*)\s*[>,])?")
-# A member store: assignment / growth call on a trailing-underscore
-# identifier (the repo's member naming convention), directly or through
-# `this->`.
-MEMBER_STORE_RE = re.compile(
-    r"(?:\bthis\s*->\s*)?[A-Za-z_]\w*_\s*(?:\[[^\]]*\]\s*)?"
-    r"(?:=[^=]|\.\s*(?:push_back|emplace_back|emplace|insert|assign)\s*\()")
-OWNING_MEMBER_TYPES_RE = re.compile(
-    r"\bstd\s*::\s*(?:string|vector|deque|map|unordered_map|set|"
-    r"unordered_set|list|function|unique_ptr|shared_ptr|optional|any)\b")
 
 
 def _after_operator(stripped, pos, allow_assign):
@@ -104,10 +79,9 @@ def check_raw_new(rel, stripped, lines):
         if not waived(lines, line, WAIVER_RE):
             findings.append(Finding(
                 "owning-raw-new", rel, line,
-                f"raw '{token}' outside the allocator allowlist: ownership "
-                "must be spelled — use std::unique_ptr, a container, or an "
-                "Arena (src/common/arena.h). Waive a deliberate exception "
-                "with `// own: <reason>`"))
+                f"raw '{token}': ownership must be spelled — use "
+                "std::unique_ptr or a container. Waive a deliberate "
+                "exception with `// own: <reason>`"))
     return findings
 
 
@@ -158,9 +132,8 @@ def raw_members(rel, stripped):
 def check_raw_members(rel, stripped, lines):
     return [Finding("owning-raw-member", rel, line,
                     f"raw-pointer member '{name}' of '{class_name}' has no "
-                    "ownership annotation: mark it `// own: borrowed <why>` "
-                    "or `// own: arena <why>`, or make it a unique_ptr if it "
-                    "owns")
+                    "ownership annotation: mark it `// own: borrowed <why>`, "
+                    "or make it a unique_ptr if it owns")
             for line, class_name, name in raw_members(rel, stripped)
             if not waived(lines, line, MEMBER_ANNOT_RE)]
 
@@ -208,82 +181,15 @@ def check_shared_copies(rel, stripped, lines):
     return findings
 
 
-def arena_alloc_sites(stripped):
-    """(offset, arena name, method, type argument or None) for every
-    allocation call on an arena handle: a name declared as Arena in this
-    file, or any name containing "arena" (member arenas are declared in the
-    header, so the .cc only ever sees the name)."""
-    names = set(ARENA_DECL_RE.findall(stripped))
-    for match in ARENA_SITE_RE.finditer(stripped):
-        if match.group(1) in names or "arena" in match.group(1).lower():
-            yield match.start(), match.group(1), match.group(2), \
-                match.group(3)
-
-
-def enclosing_statement(stripped, pos):
-    """Text of the statement containing `pos`: from the previous ; { or }
-    to the next ; at the same paren depth."""
-    start = max(stripped.rfind(";", 0, pos), stripped.rfind("{", 0, pos),
-                stripped.rfind("}", 0, pos)) + 1
-    depth = 0
-    for i in range(pos, len(stripped)):
-        if stripped[i] == "(":
-            depth += 1
-        elif stripped[i] == ")":
-            depth -= 1
-        elif stripped[i] == ";" and depth <= 0:
-            return stripped[start:i + 1]
-    return stripped[start:]
-
-
-def check_arena(rel, stripped, lines, types):
-    findings = []
-    for pos, name, method, type_arg in arena_alloc_sites(stripped):
-        line = line_of(stripped, pos)
-        if waived(lines, line, WAIVER_RE):
-            continue
-        stmt = enclosing_statement(stripped, pos)
-        if re.match(r"\s*return\b", stmt) or MEMBER_STORE_RE.search(stmt):
-            findings.append(Finding(
-                "arena-escape", rel, line,
-                f"'{name}.{method}' result stored into a member or "
-                "returned: arena memory dies at the owning arena's Reset(); "
-                "longer-lived storage must copy out or own the arena "
-                "itself. Waive with `// own: <reason>` if the target "
-                "provably outlives no Reset"))
-        # NewObject registers the dtor; Alloc is bytes. A type defined
-        # outside src/ is left to the static_assert in Arena::New.
-        short = (type_arg or "").split("::")[-1]
-        if method != "New" or short not in types:
-            continue
-        if f"~{short}" in types[short] or \
-                OWNING_MEMBER_TYPES_RE.search(types[short]):
-            findings.append(Finding(
-                "arena-nontrivial-dtor", rel, line,
-                f"'{name}.New<{short}>' places a type with a user-declared "
-                "destructor or owning members on the arena: New skips "
-                f"destructors by design. Use NewObject<{short}> (registers "
-                "the destructor to run at Reset) or keep the type off the "
-                "arena"))
-    return findings
-
-
 def check(repo, report):
-    types = {}  # class/struct name -> body text, first definition wins.
-    for rel in repo.src:
-        stripped = repo.stripped(rel)
-        for name, start, end in class_bodies(stripped):
-            types.setdefault(name, stripped[start:end])
     findings = []
     for rel in repo.src:
         stripped = repo.stripped(rel)
         lines = repo.lines(rel)
-        findings += (check_raw_members(rel, stripped, lines)
+        findings += (check_raw_new(rel, stripped, lines)
+                     + check_raw_members(rel, stripped, lines)
                      + check_unique_ptr_sinks(rel, stripped, lines)
                      + check_shared_copies(rel, stripped, lines))
-        if rel not in ALLOCATOR_FILES:
-            findings += (check_raw_new(rel, stripped, lines)
-                         + check_arena(rel, stripped, lines, types))
     return findings
 
 
@@ -296,24 +202,11 @@ def inventory(repo):
         f"{len(members)} raw-pointer member(s)"]
 
 
-# Minimal arena surface: enough shape for the rules to anchor on.
-ARENA_H = (
-    "#ifndef TASQ_COMMON_ARENA_H_\n"
-    "#define TASQ_COMMON_ARENA_H_\n"
-    "namespace tasq {\n"
-    "class Arena {\n"
-    " public:\n"
-    "  void* Alloc(unsigned long n);\n"
-    "  template <typename T> T* New();\n"
-    "  template <typename T> T* NewObject();\n"
-    "};\n"
-    "}  // namespace tasq\n"
-    "#endif\n")
 POOL_H = (
     "#ifndef TASQ_APP_POOL_H_\n"
     "#define TASQ_APP_POOL_H_\n"
     "#include <memory>\n"
-    "#include \"common/arena.h\"\n"
+    "#include <vector>\n"
     "namespace tasq {\n"
     "struct Slab { double values[8]; };\n"
     "class Pool {\n"
@@ -323,7 +216,7 @@ POOL_H = (
     " private:\n"
     "  std::unique_ptr<Slab> owned_;\n"
     "  const Slab* view_ = nullptr;  // own: borrowed outlived by owned_\n"
-    "  Arena arena_;\n"
+    "  std::vector<Slab> scratch_;\n"
     "};\n"
     "}  // namespace tasq\n"
     "#endif\n")
@@ -333,9 +226,10 @@ POOL_CC = (
     "#include <utility>\n"
     "namespace tasq {\n"
     "void Pool::Fill(int n) {\n"
+    "  scratch_.clear();\n"
     "  for (int i = 0; i < n; ++i) {\n"
-    "    Slab* scratch = arena_.New<Slab>();\n"
-    "    scratch->values[0] = i;\n"
+    "    Slab& slab = scratch_.emplace_back();\n"
+    "    slab.values[0] = i;\n"
     "  }\n"
     "}\n"
     "void Pool::Adopt(std::unique_ptr<Slab> slab) {\n"
@@ -344,24 +238,15 @@ POOL_CC = (
     "}\n"
     "}  // namespace tasq\n")
 # Conforming base: a pool that owns through unique_ptr, borrows with an
-# annotation, and uses its arena without escapes.
-GOOD = {"src/common/arena.h": ARENA_H, "src/app/pool.h": POOL_H,
-        "src/app/pool.cc": POOL_CC}
-REPORT_H = {"src/app/report.h": (
-    "#ifndef TASQ_APP_REPORT_H_\n"
-    "#define TASQ_APP_REPORT_H_\n"
-    "#include <vector>\n"
-    "namespace tasq {\n"
-    "struct Report { std::vector<double> curve; };\n"
-    "}  // namespace tasq\n"
-    "#endif\n")}
+# annotation, and reuses a member vector as its per-call scratch.
+GOOD = {"src/app/pool.h": POOL_H, "src/app/pool.cc": POOL_CC}
 
 
 def _in_fill(statement):
     """`statement` lands inside Pool::Fill's loop body."""
     return {**GOOD, "src/app/pool.cc": POOL_CC.replace(
-        "    scratch->values[0] = i;",
-        f"    scratch->values[0] = i;\n    {statement}")}
+        "    slab.values[0] = i;",
+        f"    slab.values[0] = i;\n    {statement}")}
 
 
 def _pool_h(old, new):
@@ -388,13 +273,4 @@ FIXTURES = {
         _in_fill("std::shared_ptr<Slab> held = shared_slab_;"),
         _in_fill("std::shared_ptr<Slab> held = shared_slab_;"
                  "  // own: pin per batch, 1 RMW per 16 requests, measured")),
-    "arena-escape": (
-        _in_fill("view_ = arena_.New<Slab>();"),
-        _in_fill("view_ = arena_.New<Slab>();"
-                 "  // own: member arena, Reset only in ~Pool")),
-    "arena-nontrivial-dtor": (
-        {**_in_fill("Report* r = arena_.New<Report>(); (void)r;"),
-         **REPORT_H},
-        {**_in_fill("Report* r = arena_.NewObject<Report>(); (void)r;"),
-         **REPORT_H}),
 }

@@ -5,34 +5,12 @@
 #include <cstddef>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace tasq {
-
-/// Minimal task-execution interface: something that can run closures on
-/// worker threads. `ParallelFor(Executor&, ...)` fans loop bodies out over
-/// an executor instead of spawning fresh threads per call, which is what
-/// long-lived services want (see serve/thread_pool.h for the standard
-/// implementation, a bounded-queue thread pool).
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  /// Schedules `task` to run on a worker thread. May block while the
-  /// executor is saturated (bounded queues). Returns false — without
-  /// running or keeping `task` — when the executor no longer accepts work
-  /// (e.g., it is shutting down); the caller must then run or drop the
-  /// task itself.
-  virtual bool Submit(std::function<void()> task) = 0;
-
-  /// Worker threads available to run submitted tasks (>= 1).
-  virtual unsigned concurrency() const = 0;
-};
 
 /// Runs `body(i)` for every i in [0, count) across up to `num_threads`
 /// worker threads (0 = hardware concurrency). Work is handed out by an
@@ -89,81 +67,6 @@ inline void ParallelFor(size_t count, const std::function<void(size_t)>& body,
   worker();  // The calling thread participates.
   for (std::thread& thread : threads) thread.join();
   if (first_exception) std::rethrow_exception(first_exception);
-}
-
-/// ParallelFor over a persistent executor: runs `body(i)` for every i in
-/// [0, count) on up to `executor.concurrency()` workers plus the calling
-/// thread, which always participates (so progress is guaranteed even when
-/// the executor rejects or delays the helper tasks). Work is handed out by
-/// an atomic counter exactly as in the thread-spawning overload, and the
-/// same exception contract holds: the first exception thrown by a body is
-/// rethrown on the calling thread after every helper task has finished.
-inline void ParallelFor(Executor& executor, size_t count,
-                        const std::function<void(size_t)>& body) {
-  if (count == 0) return;
-  unsigned helpers = executor.concurrency();
-  if (helpers + 1 > count) {
-    helpers = static_cast<unsigned>(count - 1);
-  }
-  if (helpers == 0) {
-    for (size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  struct SharedState {
-    // Relaxed (same reasoning as the thread-spawning overload): the
-    // ticket RMW claims each index exactly once, the stop flag is
-    // best-effort, and completion is published by done_cv/mutex.
-    std::atomic<size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    Mutex mutex;
-    CondVar done_cv;
-    size_t active_helpers TASQ_GUARDED_BY(mutex) = 0;
-    std::exception_ptr first_exception TASQ_GUARDED_BY(mutex);
-  };
-  auto state = std::make_shared<SharedState>();
-  auto drain = [state, count, &body]() {
-    while (!state->cancelled.load(std::memory_order_relaxed)) {
-      size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        body(i);
-      } catch (...) {
-        {
-          MutexLock lock(state->mutex);
-          if (!state->first_exception) {
-            state->first_exception = std::current_exception();
-          }
-        }
-        state->cancelled.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  for (unsigned t = 0; t < helpers; ++t) {
-    {
-      MutexLock lock(state->mutex);
-      ++state->active_helpers;
-    }
-    bool accepted = executor.Submit([state, drain]() {
-      drain();
-      MutexLock lock(state->mutex);
-      --state->active_helpers;
-      state->done_cv.NotifyAll();
-    });
-    if (!accepted) {
-      MutexLock lock(state->mutex);
-      --state->active_helpers;
-      break;  // Executor is shutting down; the caller drains alone.
-    }
-  }
-  drain();  // The calling thread participates.
-  {
-    MutexLock lock(state->mutex);
-    while (state->active_helpers != 0) state->done_cv.Wait(state->mutex);
-    if (state->first_exception) {
-      std::rethrow_exception(state->first_exception);
-    }
-  }
 }
 
 }  // namespace tasq

@@ -71,77 +71,64 @@ std::string ServerStats::ToText() const {
 }
 
 PccServer::PccServer(const Tasq& tasq, PccServerOptions options)
-    : tasq_(tasq),
-      options_(options),
-      cache_(options.cache_capacity),
-      // Drain tasks on the pool never exceed num_threads (see
-      // active_drainers_), so the pool's own queue can stay small; request
-      // backpressure happens on queue_ below.
-      pool_(options.num_threads,
-            static_cast<size_t>(
-                options.num_threads > 0
-                    ? options.num_threads
-                    : std::max(1u, std::thread::hardware_concurrency())) +
-                1) {
-  if (options_.num_threads == 0) options_.num_threads = pool_.concurrency();
+    : tasq_(tasq), options_(options), cache_(options.cache_capacity) {
+  if (options_.num_threads == 0) {
+    options_.num_threads = std::max(1u, std::thread::hardware_concurrency());
+  }
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
+  // No lock: the workers never touch workers_, and Shutdown cannot run
+  // before the constructor returns.
+  workers_.reserve(options_.num_threads);
+  for (unsigned t = 0; t < options_.num_threads; ++t) {
+    workers_.emplace_back([this]() { WorkerLoop(); });
+  }
 }
 
 PccServer::~PccServer() { Shutdown(); }
 
 std::future<Result<WhatIfReport>> PccServer::Submit(ScoreRequest request) {
-  auto submitted_at = std::chrono::steady_clock::now();
-  ReportCacheKey key;
-  key.fingerprint = request.graph.Fingerprint();
-  key.model = request.model;
-  key.reference_tokens = request.reference_tokens;
-  key.grid_points = request.grid_points;
-
   Pending pending;
-  pending.request = std::move(request);
-  pending.key = key;
-  pending.submitted_at = submitted_at;
+  pending.submitted_at = std::chrono::steady_clock::now();
   std::future<Result<WhatIfReport>> future = pending.promise.get_future();
-
   received_.fetch_add(1, std::memory_order_relaxed);
+
+  // Before the fingerprint: a NaN key never equals itself, so a malformed
+  // request would otherwise insert an entry no lookup can hit.
+  Status valid =
+      ValidateWhatIfRequest(request.reference_tokens, request.grid_points);
+  if (!valid.ok()) {
+    FulfillError(pending, std::move(valid));
+    return future;
+  }
+  pending.key.fingerprint = request.graph.Fingerprint();
+  pending.key.model = request.model;
+  pending.key.reference_tokens = request.reference_tokens;
+  pending.key.grid_points = request.grid_points;
+  pending.request = std::move(request);
 
   // Fingerprint-cache fast path: recurring jobs (the dominant workload)
   // skip the queue and model inference entirely. (TryScoreCached is the
   // future-free flavor of this same path.)
   WhatIfReport cached;
-  if (cache_.GetInto(key, &cached)) {
+  if (cache_.GetInto(pending.key, &cached)) {
     FulfillOk(pending, std::move(cached), /*from_cache=*/true);
     return future;
   }
 
-  bool schedule_drainer = false;
-  bool rejected = false;
   {
     MutexLock lock(mutex_);
     while (!shutting_down_ && queue_.size() >= options_.queue_capacity) {
       space_free_cv_.Wait(mutex_);
     }
-    if (shutting_down_) {
-      rejected = true;
-    } else {
+    if (!shutting_down_) {
       queue_.push_back(std::move(pending));
       max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
-      if (active_drainers_ < options_.num_threads) {
-        ++active_drainers_;
-        schedule_drainer = true;
-      }
+      work_ready_cv_.NotifyOne();
+      return future;
     }
   }
-  if (rejected) {
-    FulfillError(pending, Status::FailedPrecondition("server is shut down"));
-    return future;
-  }
-  if (schedule_drainer && !pool_.Submit([this]() { DrainQueue(); })) {
-    // The pool only rejects during shutdown; drain on the caller so the
-    // request cannot be stranded.
-    DrainQueue();
-  }
+  FulfillError(pending, Status::FailedPrecondition("server is shut down"));
   return future;
 }
 
@@ -189,32 +176,34 @@ std::vector<Result<WhatIfReport>> PccServer::ScoreBatch(
 }
 
 void PccServer::Shutdown() {
+  // Swapping the threads out under the lock makes Shutdown idempotent and
+  // safe against concurrent callers: exactly one of them joins.
+  std::vector<std::thread> to_join;
   {
     MutexLock lock(mutex_);
     shutting_down_ = true;
+    to_join.swap(workers_);
   }
-  // Wake producers blocked on backpressure; they observe the flag and
-  // reject their requests.
+  // Producers blocked on backpressure observe the flag and reject their
+  // requests; idle workers wake up to exit.
   space_free_cv_.NotifyAll();
-  // Drainers exit only once the queue is empty, and the pool's graceful
-  // shutdown waits for them — so every request accepted before the flag
-  // flipped is scored and its future fulfilled.
-  pool_.Shutdown();
+  work_ready_cv_.NotifyAll();
+  // Workers exit only once the queue is empty, so every request accepted
+  // before the flag flipped is scored and its future fulfilled.
+  for (std::thread& worker : to_join) worker.join();
 }
 
-void PccServer::DrainQueue() {
-  // One scratch set per drainer activation: after the first few batches
-  // every vector below has grown to its steady-state capacity and the
-  // drain loop stops allocating batch bookkeeping altogether.
+void PccServer::WorkerLoop() {
+  // Lives as long as the worker: once its vectors have grown to the
+  // realized batch size, no batch reallocates them, however long the
+  // worker sat idle in between.
   BatchScratch scratch;
   for (;;) {
     scratch.batch.clear();
     {
       MutexLock lock(mutex_);
-      if (queue_.empty()) {
-        --active_drainers_;
-        return;
-      }
+      while (!shutting_down_ && queue_.empty()) work_ready_cv_.Wait(mutex_);
+      if (queue_.empty()) return;  // Shutting down and fully drained.
       size_t take = std::min(options_.max_batch, queue_.size());
       scratch.batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
@@ -239,51 +228,34 @@ void PccServer::DrainQueue() {
 void PccServer::ProcessBatch(BatchScratch& scratch) {
   std::vector<Pending>& batch = scratch.batch;
 
-  // Everything assembled for this batch lives in the scratch arena and
-  // dies here: pointers below must not outlive this call (tasq_check.py,
-  // set own, rule arena-escape). Reset keeps the arena's blocks, so the
-  // assembly is heap-allocation-free once the blocks have grown to the
-  // realized batch size.
-  Arena& arena = scratch.arena;
-  arena.Reset();
-
   // Group the parametric requests per model kind so the batch shares
   // inference (one NN forward pass per group); XGBoost-SS has no
   // parametric form and scores per request.
-  static_assert(kModelKindCount == 4,
-                "parametric group initializers below cover every kind");
-  ArenaVector<size_t> parametric[kModelKindCount] = {
-      ArenaVector<size_t>(ArenaAllocator<size_t>(&arena)),
-      ArenaVector<size_t>(ArenaAllocator<size_t>(&arena)),
-      ArenaVector<size_t>(ArenaAllocator<size_t>(&arena)),
-      ArenaVector<size_t>(ArenaAllocator<size_t>(&arena))};
-  for (ArenaVector<size_t>& group : parametric) group.reserve(batch.size());
+  for (std::vector<size_t>& group : scratch.groups) group.clear();
   for (size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].request.model != ModelKind::kXgboostSs) {
-      parametric[static_cast<size_t>(batch[i].request.model)].push_back(i);
+      scratch.groups[static_cast<size_t>(batch[i].request.model)]
+          .push_back(i);
     }
   }
-  for (const ArenaVector<size_t>& group : parametric) {
+  for (const std::vector<size_t>& group : scratch.groups) {
     if (group.empty()) continue;
     ModelKind kind = batch[group.front()].request.model;
-    ArenaVector<const JobGraph*> graphs{
-        ArenaAllocator<const JobGraph*>(&arena)};
-    ArenaVector<double> reference_tokens{ArenaAllocator<double>(&arena)};
-    graphs.reserve(group.size());
-    reference_tokens.reserve(group.size());
+    scratch.graphs.clear();
+    scratch.reference_tokens.clear();
     for (size_t i : group) {
-      graphs.push_back(&batch[i].request.graph);
-      reference_tokens.push_back(batch[i].request.reference_tokens);
+      scratch.graphs.push_back(&batch[i].request.graph);
+      scratch.reference_tokens.push_back(batch[i].request.reference_tokens);
     }
-    PowerLawPcc* pccs = arena.NewArray<PowerLawPcc>(group.size());
+    scratch.pccs.resize(group.size());
     Status predicted = tasq_.PredictPccBatchInto(
-        graphs.data(), graphs.size(), kind, reference_tokens.data(),
-        scratch.tasq, pccs);
+        scratch.graphs.data(), group.size(), kind,
+        scratch.reference_tokens.data(), scratch.tasq, scratch.pccs.data());
     if (predicted.ok()) {
       for (size_t g = 0; g < group.size(); ++g) {
         Pending& pending = batch[group[g]];
         Result<WhatIfReport> report = BuildWhatIfReportFromPcc(
-            pccs[g], kind, pending.request.reference_tokens,
+            scratch.pccs[g], kind, pending.request.reference_tokens,
             pending.request.grid_points);
         if (report.ok()) {
           FulfillOk(pending, std::move(report.value()), /*from_cache=*/false);

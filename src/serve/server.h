@@ -7,15 +7,14 @@
 #include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hot.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "serve/cache.h"
 #include "serve/latency_histogram.h"
-#include "serve/thread_pool.h"
 #include "tasq/tasq.h"
 #include "tasq/what_if.h"
 #include "workload/job_graph.h"
@@ -88,8 +87,8 @@ struct PccServerOptions {
 
 /// The compile-time scoring service of paper §2.2: accepts what-if scoring
 /// requests for submitted jobs, answers recurring jobs from a fingerprint
-/// cache, and batches the rest through the trained pipeline on a
-/// persistent worker pool.
+/// cache, and batches the rest through the trained pipeline on
+/// `num_threads` worker threads the server starts and joins itself.
 ///
 /// The server borrows the pipeline: `tasq` must stay alive and untouched
 /// (no Train/Save/move) for the server's lifetime. Scoring a trained Tasq
@@ -109,8 +108,10 @@ class PccServer {
 
   /// Enqueues one request and returns the future report. Blocks while the
   /// request queue is at capacity. Cache hits resolve immediately without
-  /// entering the queue. After Shutdown the future resolves to
-  /// FailedPrecondition.
+  /// entering the queue. Malformed scoring numbers (see
+  /// ValidateWhatIfRequest) resolve to InvalidArgument before the cache
+  /// lookup, so they are never cached. After Shutdown the future resolves
+  /// to FailedPrecondition.
   std::future<Result<WhatIfReport>> Submit(ScoreRequest request)
       TASQ_EXCLUDES(mutex_);
 
@@ -156,27 +157,28 @@ class PccServer {
     std::chrono::steady_clock::time_point submitted_at;
   };
 
-  /// Per-drainer scratch, reused across every batch the drainer
-  /// processes. Batch-assembly storage (per-kind index groups, graph
-  /// pointers, reference tokens, predicted PCCs) comes from a bump
-  /// arena that Reset()s at each batch boundary: after the arena's
-  /// blocks have grown to the realized batch size, the whole assembly
-  /// path performs zero heap allocations per batch (src/common/arena.h;
-  /// the own set of scripts/tasq_check.py enforces the ownership rules). The
-  /// pending requests themselves stay in a std::vector — promises have
-  /// nontrivial destructors and outlive the batch via their futures, so
-  /// they must not live in the arena. `tasq` carries the feature-row and
-  /// NN-activation buffers for Tasq::PredictPccBatchInto. One instance
-  /// per DrainQueue activation — never shared, so no lock guards it.
+  /// One worker's batch-assembly buffers, owned by its WorkerLoop for
+  /// the server's whole lifetime and never shared, so no lock guards
+  /// them. Every vector is cleared, not freed, between batches: once
+  /// their capacities reach the realized batch size, assembling a batch
+  /// allocates nothing (the TasqBatchScratch idiom). `groups` holds the
+  /// batch indices of each parametric model kind; `graphs`,
+  /// `reference_tokens` and `pccs` are the per-group inputs and outputs
+  /// of Tasq::PredictPccBatchInto, and `tasq` its feature-row and
+  /// NN-activation buffers.
   struct BatchScratch {
     std::vector<Pending> batch;
-    Arena arena;
+    std::vector<size_t> groups[kModelKindCount];
+    std::vector<const JobGraph*> graphs;
+    std::vector<double> reference_tokens;
+    std::vector<PowerLawPcc> pccs;
     TasqBatchScratch tasq;
   };
 
-  /// Worker-side loop: repeatedly pulls up to max_batch pending requests
-  /// and scores them; exits when the queue is empty.
-  void DrainQueue() TASQ_EXCLUDES(mutex_);
+  /// One worker thread: waits for pending requests, pulls up to
+  /// max_batch of them, scores them; returns once shutdown has begun and
+  /// the queue is empty.
+  void WorkerLoop() TASQ_EXCLUDES(mutex_);
   void ProcessBatch(BatchScratch& scratch);
   void ScoreOne(Pending& pending);
   void FulfillOk(Pending& pending, WhatIfReport report, bool from_cache);
@@ -185,18 +187,17 @@ class PccServer {
   const Tasq& tasq_;
   PccServerOptions options_;  // Normalized in the ctor, immutable after.
   ReportCache cache_;
-  ThreadPool pool_;
 
   // Request-path state: the bounded pending queue and its backpressure.
   mutable Mutex mutex_;
-  CondVar space_free_cv_;
+  CondVar space_free_cv_;    // Signals producers: queue space or shutdown.
+  CondVar work_ready_cv_;    // Signals workers: a request or shutdown.
   std::deque<Pending> queue_ TASQ_GUARDED_BY(mutex_);
-  size_t active_drainers_ TASQ_GUARDED_BY(mutex_) = 0;
   bool shutting_down_ TASQ_GUARDED_BY(mutex_) = false;
   size_t max_queue_depth_ TASQ_GUARDED_BY(mutex_) = 0;
 
   // Observability, lock-free so neither the cache-hit fast path
-  // (TryScoreCached) nor the drain loop touches a mutex to record.
+  // (TryScoreCached) nor the worker loop touches a mutex to record.
   // Relaxed ordering suffices — counts are made visible to observers by
   // the promise/future (or TryScoreCached-return) happens-before edge,
   // not by the counters themselves.
@@ -207,6 +208,11 @@ class PccServer {
   LatencyHistogram queue_wait_hist_;
   LatencyHistogram inference_hist_;
   LatencyHistogram end_to_end_hist_;
+
+  // Declared last, after everything the workers touch. Started in the
+  // constructor, swapped out once under mutex_ by the first Shutdown,
+  // which joins them.
+  std::vector<std::thread> workers_ TASQ_GUARDED_BY(mutex_);
 };
 
 }  // namespace tasq

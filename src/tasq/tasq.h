@@ -59,9 +59,10 @@ struct TokenRecommendation {
 
 /// Reusable buffers for Tasq::PredictPccBatchInto: the standardized
 /// feature-row matrix plus the NN's activation scratch. A serving worker
-/// keeps one per drain loop; once warm, batch prediction allocates no
-/// heap memory at all (features go through Featurizer::JobLevelInto's
-/// stack row into `rows`, whose capacity persists across batches).
+/// keeps one for its whole lifetime; once warm, batch prediction
+/// allocates no heap memory at all (features go through
+/// Featurizer::JobLevelInto's stack row into `rows`, whose capacity
+/// persists across batches).
 struct TasqBatchScratch {
   std::vector<double> rows;
   NnPccModel::InferenceScratch nn;
@@ -79,7 +80,7 @@ struct TasqBatchScratch {
 /// safe to call from any number of threads concurrently on the same
 /// instance. The
 /// serving layer (serve/server.h) relies on this to share one pipeline
-/// across its worker pool. Train / Save / Load and moves are NOT safe to
+/// across its worker threads. Train / Save / Load and moves are NOT safe to
 /// run concurrently with scoring.
 class Tasq {
  public:

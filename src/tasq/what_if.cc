@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "pcc/pcc.h"
 
@@ -36,13 +37,24 @@ std::vector<double> ReportGrid(double reference_tokens, size_t points) {
 
 }  // namespace
 
+Status ValidateWhatIfRequest(double reference_tokens, size_t grid_points) {
+  if (!std::isfinite(reference_tokens) || reference_tokens < 1.0) {
+    return Status::InvalidArgument(
+        "reference tokens must be finite and at least 1");
+  }
+  if (grid_points > kMaxWhatIfGridPoints) {
+    return Status::InvalidArgument("grid points must be at most " +
+                                   std::to_string(kMaxWhatIfGridPoints));
+  }
+  return Status::Ok();
+}
+
 Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,
                                        ModelKind model,
                                        double reference_tokens,
                                        size_t grid_points) {
-  if (reference_tokens < 1.0) {
-    return Status::InvalidArgument("reference tokens must be at least 1");
-  }
+  Status valid = ValidateWhatIfRequest(reference_tokens, grid_points);
+  if (!valid.ok()) return valid;
   grid_points = std::max<size_t>(3, grid_points);
 
   if (model != ModelKind::kXgboostSs) {
@@ -93,12 +105,11 @@ Result<WhatIfReport> BuildWhatIfReportFromPcc(const PowerLawPcc& pcc,
                                               ModelKind model,
                                               double reference_tokens,
                                               size_t grid_points) {
+  Status valid = ValidateWhatIfRequest(reference_tokens, grid_points);
+  if (!valid.ok()) return valid;
   if (model == ModelKind::kXgboostSs) {
     return Status::InvalidArgument(
         "XGBoost SS has no parametric PCC; use BuildWhatIfReport");
-  }
-  if (reference_tokens < 1.0) {
-    return Status::InvalidArgument("reference tokens must be at least 1");
   }
   grid_points = std::max<size_t>(3, grid_points);
   WhatIfReport report;

@@ -43,8 +43,23 @@ struct WhatIfReport {
   std::string ToText() const;
 };
 
+/// Largest curve resolution a report accepts. Callers ask for 9 or 17
+/// points; the cap keeps a malformed request from reserving an unbounded
+/// grid.
+inline constexpr size_t kMaxWhatIfGridPoints = 1024;
+
+/// Checks a request's scoring numbers before anything compares or
+/// allocates with them: `reference_tokens` must be finite (tested first,
+/// so a NaN never reaches an ordered comparison) and at least 1, and
+/// `grid_points` at most kMaxWhatIfGridPoints. Fewer than 3 grid points
+/// is not an error: the builders raise it to 3. Both builders below run
+/// it first, and so does PccServer::Submit.
+TASQ_NODISCARD Status ValidateWhatIfRequest(double reference_tokens,
+                                            size_t grid_points);
+
 /// Builds a what-if report for an unseen job from a trained pipeline.
-/// `grid_points` controls curve resolution (>= 3). For parametric models
+/// `grid_points` controls curve resolution (3 to kMaxWhatIfGridPoints;
+/// smaller values are raised to 3). For parametric models
 /// the job is featurized and scored exactly once; the curve, elbow, and
 /// both recommendations all derive from that single predicted PCC.
 TASQ_NODISCARD Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -194,42 +196,73 @@ TEST_F(HotPathTest, WarmCacheHitPathAllocatesExactlyZero) {
       << kRounds << " requests)";
 }
 
-// The cold-path acceptance criterion of the arena work (PR 9, mirroring
-// WarmCacheHitPathAllocatesExactlyZero above): a cold submitted request —
+// The cold-path acceptance criterion, mirroring
+// WarmCacheHitPathAllocatesExactlyZero above: a cold submitted request —
 // promise/future, queue entry, featurization, NN inference, report
 // assembly — stays within a single-digit allocation budget. Featurization
 // runs through Featurizer::JobLevelInto (stack row), inference through
 // Tasq::PredictPccBatchInto (reused matrices), and batch assembly through
-// the drainer's Arena, so what remains per request is the future's
+// the worker's BatchScratch, so what remains per request is the future's
 // shared state, the report's curve vectors, and amortized queue blocks.
+// Two arrival shapes share the budget: a burst that keeps the worker busy
+// back to back, and requests one at a time with idle gaps in between. The
+// worker keeps its scratch across idle periods, so a gap must not make
+// the next request rebuild it.
 TEST_F(HotPathTest, ColdSubmitPathStaysWithinAllocationBudget) {
-  constexpr int kRequests = 192;
   constexpr uint64_t kBudgetPerRequest = 8;
-  std::vector<ScoreRequest> requests = MakeRequests(500, kRequests);
   PccServerOptions options;
   options.num_threads = 1;
   options.queue_capacity = 64;
   options.max_batch = 16;
   options.cache_capacity = 0;  // Every request takes the cold path.
-  PccServer server(*pipeline_, options);
 
-  uint64_t before = tasq_test::AllocationCount();
-  // Moved in so the caller-side request copies are not charged to the
-  // serving path. No gtest assertions before the measurement completes:
-  // EXPECT_* may allocate.
-  std::vector<Result<WhatIfReport>> results =
-      server.ScoreBatch(std::move(requests));
-  uint64_t allocations = tasq_test::AllocationCount() - before;
+  // Burst shape.
+  {
+    constexpr int kRequests = 192;
+    std::vector<ScoreRequest> requests = MakeRequests(500, kRequests);
+    PccServer server(*pipeline_, options);
 
-  ASSERT_EQ(results.size(), static_cast<size_t>(kRequests));
-  for (const auto& result : results) {
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    uint64_t before = tasq_test::AllocationCount();
+    // Moved in so the caller-side request copies are not charged to the
+    // serving path. No gtest assertions before the measurement completes:
+    // EXPECT_* may allocate.
+    std::vector<Result<WhatIfReport>> results =
+        server.ScoreBatch(std::move(requests));
+    uint64_t allocations = tasq_test::AllocationCount() - before;
+
+    ASSERT_EQ(results.size(), static_cast<size_t>(kRequests));
+    for (const auto& result : results) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    EXPECT_LE(allocations, kBudgetPerRequest * kRequests)
+        << "burst: cold submit path exceeded its allocation budget: "
+        << (static_cast<double>(allocations) / kRequests)
+        << " allocations/request measured over " << kRequests
+        << " requests (budget: " << kBudgetPerRequest << " per request)";
   }
-  EXPECT_LE(allocations, kBudgetPerRequest * kRequests)
-      << "cold submit path exceeded its allocation budget: "
-      << (static_cast<double>(allocations) / kRequests)
-      << " allocations/request measured over " << kRequests
-      << " requests (budget: " << kBudgetPerRequest << " per request)";
+
+  // Idle-gap shape: the worker goes idle after every request.
+  {
+    constexpr int kRequests = 63;
+    std::vector<ScoreRequest> requests = MakeRequests(700, kRequests + 1);
+    PccServer server(*pipeline_, options);
+    ASSERT_TRUE(server.Score(std::move(requests[0])).ok());  // Warm-up.
+
+    uint64_t before = tasq_test::AllocationCount();
+    bool all_ok = true;
+    for (int i = 1; i <= kRequests; ++i) {
+      all_ok &= server.Score(std::move(requests[static_cast<size_t>(i)])).ok();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    uint64_t allocations = tasq_test::AllocationCount() - before;
+
+    EXPECT_TRUE(all_ok);
+    EXPECT_LE(allocations, kBudgetPerRequest * kRequests)
+        << "idle gaps: cold submit path exceeded its allocation budget: "
+        << (static_cast<double>(allocations) / kRequests)
+        << " allocations/request measured over " << kRequests
+        << " requests (budget: " << kBudgetPerRequest << " per request)";
+  }
 }
 
 // The fast path must serve the same bytes as cold scoring — buffer reuse

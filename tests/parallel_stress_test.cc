@@ -16,7 +16,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "serve/server.h"
-#include "serve/thread_pool.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
 
@@ -332,26 +331,6 @@ TEST_F(ParallelStressPipelineTest, ServerStressFromEightProducers) {
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 160u);
   EXPECT_LE(stats.max_queue_depth, options.queue_capacity);
-}
-
-// ThreadPool under producer/consumer contention: tasks submitted from many
-// threads against a tiny bounded queue, with one graceful shutdown racing
-// the tail of the stream.
-TEST(ParallelStressTest, ThreadPoolContendedSubmitAndShutdown) {
-  ThreadPool pool(4, 2);
-  std::atomic<int> ran{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < 8; ++t) {
-    producers.emplace_back([&]() {
-      for (int i = 0; i < 50; ++i) {
-        if (!pool.Submit([&ran]() { ran.fetch_add(1); })) break;
-      }
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  pool.Shutdown();
-  EXPECT_EQ(ran.load(), 8 * 50);
-  EXPECT_FALSE(pool.Submit([]() {}));
 }
 
 }  // namespace

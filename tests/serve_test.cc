@@ -1,13 +1,13 @@
-// Tests of the concurrent PCC serving layer (src/serve): thread-pool
-// semantics, fingerprint-cache behavior, bounded-queue backpressure,
+// Tests of the concurrent PCC serving layer (src/serve): fingerprint-cache
+// behavior, request validation, bounded-queue backpressure,
 // graceful shutdown, and — most importantly — that batched/cached/
 // concurrent serving is byte-identical to scoring sequentially.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,71 +16,11 @@
 #include "serve/cache.h"
 #include "serve/latency_histogram.h"
 #include "serve/server.h"
-#include "serve/thread_pool.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
 
 namespace tasq {
 namespace {
-
-// ---- ThreadPool ----------------------------------------------------------
-
-TEST(ServeThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4, 64);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran]() { ran.fetch_add(1); }));
-  }
-  pool.Shutdown();
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ServeThreadPoolTest, ShutdownDrainsQueuedTasksAndRejectsNewOnes) {
-  ThreadPool pool(1, 64);
-  std::atomic<int> ran{0};
-  // The gate keeps the single worker busy so later tasks pile up queued.
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  ASSERT_TRUE(pool.Submit([opened]() { opened.wait(); }));
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran]() { ran.fetch_add(1); }));
-  }
-  gate.set_value();
-  pool.Shutdown();  // Graceful: all 10 queued tasks must have run.
-  EXPECT_EQ(ran.load(), 10);
-  EXPECT_FALSE(pool.Submit([]() {}));
-  EXPECT_TRUE(pool.shutting_down());
-}
-
-TEST(ServeThreadPoolTest, BoundedQueueBlocksProducerUntilSpaceFrees) {
-  ThreadPool pool(1, 1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  ASSERT_TRUE(pool.Submit([opened]() { opened.wait(); }));  // Occupies worker.
-  ASSERT_TRUE(pool.Submit([]() {}));                        // Fills the queue.
-  std::atomic<bool> third_accepted{false};
-  std::thread producer([&]() {
-    ASSERT_TRUE(pool.Submit([]() {}));  // Must block until the gate opens.
-    third_accepted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_accepted.load()) << "Submit should still be blocked";
-  gate.set_value();
-  producer.join();
-  EXPECT_TRUE(third_accepted.load());
-  pool.Shutdown();
-}
-
-TEST(ServeThreadPoolTest, ParallelForRunsOnThePool) {
-  ThreadPool pool(3, 16);
-  const size_t n = 1000;
-  std::vector<double> out(n, 0.0);
-  ParallelFor(pool, n, [&](size_t i) { out[i] = static_cast<double>(i); });
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_DOUBLE_EQ(out[i], static_cast<double>(i));
-  }
-  pool.Shutdown();
-}
 
 // ---- ReportCache ---------------------------------------------------------
 
@@ -362,25 +302,50 @@ TEST_F(ServeServerTest, ShutdownFulfillsInflightAndRejectsNewRequests) {
 
 TEST_F(ServeServerTest, InvalidGraphFailsThatRequestOnly) {
   std::vector<ScoreRequest> good = MakeRequests(950, 3, ModelKind::kNn);
-  ScoreRequest bad;
-  bad.graph = JobGraph{};  // No operators: featurization must fail.
-  bad.model = ModelKind::kNn;
-  bad.reference_tokens = 10.0;
+  auto bad_request = [&good](double reference_tokens, size_t grid_points) {
+    ScoreRequest bad;
+    bad.graph = good[0].graph;
+    bad.model = ModelKind::kNn;
+    bad.reference_tokens = reference_tokens;
+    bad.grid_points = grid_points;
+    return bad;
+  };
+  ScoreRequest empty_graph;
+  empty_graph.graph = JobGraph{};  // No operators: featurization must fail.
+  empty_graph.model = ModelKind::kNn;
+  empty_graph.reference_tokens = 10.0;
   std::vector<ScoreRequest> requests;
-  requests.push_back(std::move(good[0]));
-  requests.push_back(std::move(bad));
-  requests.push_back(std::move(good[1]));
-  requests.push_back(std::move(good[2]));
+  requests.push_back(good[0]);
+  requests.push_back(std::move(empty_graph));
+  requests.push_back(good[1]);
+  // Malformed scoring numbers fail before the cache: a NaN key never
+  // equals itself, so caching it would only evict live entries.
+  requests.push_back(bad_request(std::nan(""), 9));
+  requests.push_back(bad_request(std::numeric_limits<double>::infinity(), 9));
+  requests.push_back(bad_request(10.0, size_t{1} << 40));
+  requests.push_back(good[2]);
   PccServerOptions options;
   options.num_threads = 1;
-  options.max_batch = 4;  // One batch holding good and bad requests.
+  // The four queued requests fit one batch; the malformed three are
+  // rejected by Submit and never reach the queue.
+  options.max_batch = 4;
   PccServer server(*pipeline_, options);
   std::vector<Result<WhatIfReport>> results = server.ScoreBatch(requests);
-  ASSERT_EQ(results.size(), 4u);
+  ASSERT_EQ(results.size(), 7u);
   EXPECT_TRUE(results[0].ok());
   EXPECT_FALSE(results[1].ok());
   EXPECT_TRUE(results[2].ok());
-  EXPECT_TRUE(results[3].ok());
+  for (size_t i = 3; i < 6; ++i) {
+    ASSERT_FALSE(results[i].ok()) << "request " << i;
+    EXPECT_EQ(results[i].status().code(), StatusCode::kInvalidArgument)
+        << "request " << i;
+  }
+  EXPECT_TRUE(results[6].ok());
+  ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.cache_size, 3u);
+  EXPECT_EQ(stats.cache_evictions, 0u);
 }
 
 TEST_F(ServeServerTest, StatsSnapshotIsCoherentAndPrintable) {
@@ -400,7 +365,7 @@ TEST_F(ServeServerTest, StatsSnapshotIsCoherentAndPrintable) {
   EXPECT_LE(stats.queue_wait.p50_ms(), stats.queue_wait.p99_ms());
   EXPECT_LE(stats.queue_wait.p99_ms(), stats.queue_wait.max_ms);
   // A batch's scoring time is recorded after its futures resolve, so the
-  // inference histogram is exact once the drainers have exited.
+  // inference histogram is exact once the workers have been joined.
   server.Shutdown();
   ServerStats drained = server.Stats();
   EXPECT_EQ(drained.batches, stats.batches);

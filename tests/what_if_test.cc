@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "gbdt/gbdt.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
@@ -94,6 +97,42 @@ TEST_F(WhatIfFixture, ValidatesInput) {
   Tasq untrained;
   EXPECT_FALSE(
       BuildWhatIfReport(untrained, job.graph, ModelKind::kNn, 50.0).ok());
+
+  // Malformed scoring numbers fail with InvalidArgument before anything
+  // compares or allocates with them: a NaN must not reach an ordered
+  // comparison (SIGFPE under TASQ_FPE), an infinity must not produce an
+  // OK report with an infinite curve, and a huge grid must not reach
+  // reserve().
+  PowerLawPcc pcc{-0.5, 1000.0};
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double reference_tokens;
+    size_t grid_points;
+  };
+  for (Case bad : {Case{std::nan(""), 9}, Case{kInf, 9}, Case{-kInf, 9},
+                   Case{10.0, size_t{1} << 40},
+                   Case{10.0, kMaxWhatIfGridPoints + 1}}) {
+    EXPECT_EQ(ValidateWhatIfRequest(bad.reference_tokens, bad.grid_points)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    for (ModelKind model : {ModelKind::kNn, ModelKind::kXgboostSs}) {
+      Result<WhatIfReport> report =
+          BuildWhatIfReport(*pipeline_, job.graph, model,
+                            bad.reference_tokens, bad.grid_points);
+      ASSERT_FALSE(report.ok()) << ModelKindName(model);
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    }
+    Result<WhatIfReport> from_pcc = BuildWhatIfReportFromPcc(
+        pcc, ModelKind::kNn, bad.reference_tokens, bad.grid_points);
+    ASSERT_FALSE(from_pcc.ok());
+    EXPECT_EQ(from_pcc.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The cap is inclusive, and small grids are raised to 3, not rejected.
+  EXPECT_TRUE(ValidateWhatIfRequest(1.0, kMaxWhatIfGridPoints).ok());
+  Result<WhatIfReport> small = BuildWhatIfReportFromPcc(
+      pcc, ModelKind::kNn, job.default_tokens, 0);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small.value().curve.size(), 3u);
 }
 
 TEST(FeatureImportanceTest, HighlightsInformativeFeature) {

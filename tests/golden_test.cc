@@ -159,6 +159,47 @@ TEST(GoldenArbiterTest, PolicyTracesMatchGoldenFile) {
   CheckGolden("arbiter_policies.txt", rendered);
 }
 
+// Pins the scheduler's default FIFO admission (no arbiter) on a noisy,
+// congested 48-job trace, with adaptive release off and on. Arrivals come
+// in bursts at whole seconds, so several jobs arrive at one instant; a job
+// that starts on arrival returns adaptive-release tokens at whole-second
+// offsets, so those returns land on later arrival instants.
+TEST(GoldenSchedulerTest, FifoTracesMatchGoldenFile) {
+  WorkloadConfig config;
+  config.seed = 29;
+  WorkloadGenerator generator(config);
+  auto jobs = generator.Generate(700, 48);
+  constexpr double kPool = 200.0;
+  Rng rng(2917);
+  std::vector<Submission> submissions;
+  double burst_start = 0.0;
+  size_t i = 0;
+  while (i < jobs.size()) {
+    burst_start += static_cast<double>(rng.UniformInt(30, 90));
+    int64_t burst = rng.UniformInt(1, 4);
+    for (int64_t k = 0; k < burst && i < jobs.size(); ++k, ++i) {
+      Submission submission;
+      submission.job_id = jobs[i].id;
+      submission.arrival_seconds = burst_start;
+      submission.requested_tokens =
+          std::min(kPool, std::max(1.0, jobs[i].default_tokens));
+      submission.plan = jobs[i].plan;
+      submissions.push_back(std::move(submission));
+    }
+  }
+  std::string rendered;
+  for (bool adaptive : {false, true}) {
+    ClusterScheduler scheduler(
+        SchedulerConfig{kPool, adaptive, {.enabled = true}, 7});
+    auto trace = scheduler.Run(submissions);
+    ASSERT_TRUE(trace.ok()) << "adaptive_release " << adaptive;
+    rendered += std::string("== adaptive_release ") +
+                (adaptive ? "on" : "off") + " ==\n";
+    rendered += FormatTrace(trace.value());
+  }
+  CheckGolden("scheduler_fifo.txt", rendered);
+}
+
 }  // namespace
 }  // namespace tasq
 

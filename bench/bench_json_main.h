@@ -6,9 +6,8 @@
 // BENCHMARK_MAIN() would — console output, --benchmark_* flags — while
 // also capturing each benchmark's ns/op (and items/s where reported)
 // and writing them as one flat BenchJson object, so microbench_core and
-// microbench_fmath feed the BENCH_*.json perf trajectory like
-// microbench_serving does, and scripts/bench_diff.py can diff runs
-// mechanically.
+// microbench_fmath feed the BENCH_*.json perf trajectory and
+// scripts/bench_diff.py can diff runs mechanically.
 
 #include <benchmark/benchmark.h>
 

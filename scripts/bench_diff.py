@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Diff freshly-emitted BENCH_*.json files against the committed copies.
 
-The bench binaries (microbench_serving, microbench_core, microbench_fmath,
-ext_arbiter_policies) each write one flat JSON object of headline metrics;
-copies from a known-good run are committed at the repo root as the perf
+The bench binaries (microbench_core, microbench_fmath, ext_arbiter_policies)
+each write one flat JSON object of headline metrics; copies from a
+known-good run are committed at the repo root as the perf
 trajectory (ROADMAP item 5). This tool prints per-metric deltas between a
 fresh run and the committed copy so a perf regression is visible in every
 CI log — it is informational, not a gate: shared CI runners are too noisy
@@ -35,7 +35,6 @@ import subprocess
 import sys
 
 DEFAULT_NAMES = (
-    "BENCH_serving.json",
     "BENCH_arbiter.json",
     "BENCH_core.json",
     "BENCH_fmath.json",

@@ -60,9 +60,8 @@ double MinGrant(const ArbiterOptions& options, double requested) {
 }
 
 // ---------------------------------------------------------------------------
-// kFifoGang — the scheduler's historical strict-FIFO gang admission,
-// reproduced through the arbiter interface so the baseline and the new
-// policies run on exactly the same machinery.
+// kFifoGang — the scheduler's default strict-FIFO gang admission, offered
+// as a policy so the baseline sits in the same sweeps as the others.
 class FifoGangArbiter final : public PolicyArbiter {
  public:
   FifoGangArbiter(ArbiterOptions options, PccBeliefs beliefs)
@@ -72,17 +71,7 @@ class FifoGangArbiter final : public PolicyArbiter {
   }
 
   std::vector<TokenGrant> Arbitrate(const ArbitrationContext& ctx) override {
-    std::vector<TokenGrant> grants;
-    double remaining = ctx.free_tokens;
-    for (const PendingJob& pending : ctx.pending) {
-      double request = pending.submission->requested_tokens;
-      // Head-of-line blocking: the first job that does not fit stops
-      // admission entirely (no backfilling).
-      if (request > remaining + kEps) break;
-      grants.push_back(TokenGrant{pending.index, request});
-      remaining -= request;
-    }
-    return grants;
+    return FifoGangGrants(ctx);
   }
 };
 

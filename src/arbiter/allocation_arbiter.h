@@ -18,8 +18,8 @@ namespace tasq {
 /// pending jobs start now, and at what grant, given the jobs' predicted
 /// PCCs and a finite pool shared by competing tenants.
 enum class ArbiterPolicy : int {
-  /// Strict FIFO gang admission at the full request — the scheduler's
-  /// historical behavior, kept as the baseline.
+  /// Strict FIFO gang admission at the full request (FifoGangGrants, the
+  /// scheduler's default), kept as the baseline.
   kFifoGang = 0,
   /// Maximize total predicted throughput: seed jobs by their predicted
   /// throughput at entry grant, then water-fill the pool one quantum at a

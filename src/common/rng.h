@@ -70,9 +70,6 @@ class Rng {
     }
   }
 
-  /// Access to the underlying engine for use with <random> distributions.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   uint64_t seed_;

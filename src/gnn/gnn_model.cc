@@ -1,8 +1,6 @@
 #include "gnn/gnn_model.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 
 #include "common/rng.h"
 #include "ml/matrix_io.h"
@@ -120,97 +118,34 @@ Result<double> GnnPccModel::Train(const std::vector<GraphExample>& graphs,
   LossWeights weights = options_.override_weights
                             ? options_.weights
                             : DefaultLossWeights(options_.loss_form);
-  AdamOptimizer optimizer(AllParameters(),
-                          {.learning_rate = options_.learning_rate,
-                           .weight_decay = options_.weight_decay});
-  Rng rng(options_.seed ^ 0xFEEDF00DULL);
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  size_t batch = std::max<size_t>(1, std::min(options_.batch_size, n));
-
-  // Optional validation split (tail of a one-time deterministic shuffle).
-  size_t validation = 0;
-  if (options_.validation_fraction > 0.0 && n >= 10) {
-    rng.Shuffle(order);
-    validation = std::min(
-        n / 2, static_cast<size_t>(std::ceil(
-                   options_.validation_fraction * static_cast<double>(n))));
-  }
-  size_t train_count = n - validation;
-
-  // Loss of one example; shared by training and validation passes.
-  auto example_loss = [&](size_t idx) -> Result<Var> {
-    auto [p1, p2] = Forward(graphs[idx]);
-    PccLossBatch loss_batch;
-    auto [t1, t2] = scaling_->ToScaled(supervision.targets[idx]);
-    loss_batch.scaled_targets = {t1, t2};
-    loss_batch.observed_tokens = {supervision.observed_tokens[idx]};
-    loss_batch.observed_runtime = {supervision.observed_runtime[idx]};
-    if (needs_xgb) {
-      loss_batch.xgb_runtime = {supervision.xgb_runtime[idx]};
+  // One forward pass per graph; the batch loss is their mean.
+  auto batch_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
+    Var total;
+    for (size_t k = 0; k < count; ++k) {
+      size_t i = idx[k];
+      auto [p1, p2] = Forward(graphs[i]);
+      PccLossBatch loss_batch;
+      auto [t1, t2] = scaling_->ToScaled(supervision.targets[i]);
+      loss_batch.scaled_targets = {t1, t2};
+      loss_batch.observed_tokens = {supervision.observed_tokens[i]};
+      loss_batch.observed_runtime = {supervision.observed_runtime[i]};
+      if (needs_xgb) loss_batch.xgb_runtime = {supervision.xgb_runtime[i]};
+      Result<Var> loss = BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
+      if (!loss.ok()) return loss.status();
+      total = total ? Add(total, loss.value()) : loss.value();
     }
-    return BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
+    return ScalarMul(total, 1.0 / static_cast<double>(count));
   };
-
-  std::vector<Var> parameters = AllParameters();
-  std::vector<Matrix> best_values;
-  double best_validation_loss = 1e300;
-  int epochs_without_improvement = 0;
-
-  double last_epoch_loss = 0.0;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Shuffle only the training head so the validation tail stays fixed.
-    for (size_t i = train_count; i > 1; --i) {
-      size_t j = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(i) - 1));
-      std::swap(order[i - 1], order[j]);
-    }
-    double epoch_loss = 0.0;
-    size_t batches = 0;
-    for (size_t start = 0; start < train_count; start += batch) {
-      size_t end = std::min(start + batch, train_count);
-      Var total;
-      for (size_t k = start; k < end; ++k) {
-        Result<Var> loss = example_loss(order[k]);
-        if (!loss.ok()) return loss.status();
-        total = total ? Add(total, loss.value()) : loss.value();
-      }
-      Var mean_loss =
-          ScalarMul(total, 1.0 / static_cast<double>(end - start));
-      Backward(mean_loss);
-      optimizer.Step();
-      epoch_loss += mean_loss->value.At(0, 0);
-      ++batches;
-    }
-    last_epoch_loss =
-        epoch_loss / static_cast<double>(std::max<size_t>(1, batches));
-
-    if (validation > 0) {
-      double val_loss = 0.0;
-      for (size_t k = train_count; k < n; ++k) {
-        Result<Var> loss = example_loss(order[k]);
-        if (!loss.ok()) return loss.status();
-        val_loss += loss.value()->value.At(0, 0);
-      }
-      val_loss /= static_cast<double>(validation);
-      if (val_loss < best_validation_loss - 1e-9) {
-        best_validation_loss = val_loss;
-        epochs_without_improvement = 0;
-        best_values.clear();
-        for (const Var& p : parameters) best_values.push_back(p->value);
-      } else if (++epochs_without_improvement >=
-                 options_.early_stopping_patience) {
-        break;
-      }
-    }
-  }
-  if (validation > 0 && !best_values.empty()) {
-    for (size_t i = 0; i < parameters.size(); ++i) {
-      parameters[i]->value = best_values[i];
-    }
-    return best_validation_loss;
-  }
-  return last_epoch_loss;
+  return TrainPccParameters(
+      AllParameters(), n,
+      {.epochs = options_.epochs,
+       .batch_size = options_.batch_size,
+       .learning_rate = options_.learning_rate,
+       .weight_decay = options_.weight_decay,
+       .validation_fraction = options_.validation_fraction,
+       .early_stopping_patience = options_.early_stopping_patience,
+       .shuffle_seed = options_.seed ^ 0xFEEDF00DULL},
+      batch_loss);
 }
 
 void GnnPccModel::Serialize(TextArchiveWriter& writer) const {

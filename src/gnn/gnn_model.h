@@ -70,8 +70,9 @@ class GnnPccModel {
  public:
   GnnPccModel(size_t node_feature_dim, GnnOptions options);
 
-  /// Trains on one graph per supervision example. Returns the final
-  /// epoch's mean training loss.
+  /// Trains on one graph per supervision example through the NN's
+  /// TrainPccParameters (a mini-batch's loss is the mean of its per-graph
+  /// losses) and returns its loss.
   TASQ_NODISCARD Result<double> Train(const std::vector<GraphExample>& graphs,
                        const PccSupervision& supervision);
 

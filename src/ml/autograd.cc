@@ -63,8 +63,9 @@ void Backward(const Var& root) {
       stack.pop_back();
     }
   }
-  // Zero interior gradients (parameters keep accumulating until ZeroGrads;
-  // interior nodes are fresh per forward pass, so their grads start unset).
+  // Zero interior gradients (parameters keep accumulating until the
+  // optimizer step zeroes them; interior nodes are fresh per forward pass,
+  // so their grads start unset).
   for (AutogradNode* node : order) {
     if (!node->requires_grad) node->EnsureGrad();
   }
@@ -72,10 +73,6 @@ void Backward(const Var& root) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     if ((*it)->backprop) (*it)->backprop();
   }
-}
-
-void ZeroGrads(const std::vector<Var>& nodes) {
-  for (const Var& node : nodes) node->EnsureGrad();
 }
 
 Var MatMul(const Var& a, const Var& b) {

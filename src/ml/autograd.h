@@ -41,12 +41,8 @@ Var MakeConstant(Matrix value);
 Var MakeParameter(Matrix value);
 
 /// Runs reverse-mode differentiation from `root`, which must be 1x1.
-/// Gradients accumulate into every ancestor's `grad`; call `ZeroGrads`
-/// on the parameters between steps.
+/// Gradients accumulate into every ancestor's `grad`.
 void Backward(const Var& root);
-
-/// Zeroes the gradients of the given nodes.
-void ZeroGrads(const std::vector<Var>& nodes);
 
 // ---- Operators -----------------------------------------------------------
 

@@ -7,8 +7,13 @@
 
 namespace tasq {
 
-AdamOptimizer::AdamOptimizer(std::vector<Var> parameters)
-    : AdamOptimizer(std::move(parameters), Options()) {}
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEpsilon = 1e-8;
+
+}  // namespace
 
 AdamOptimizer::AdamOptimizer(std::vector<Var> parameters, Options options)
     : parameters_(std::move(parameters)), options_(options) {
@@ -23,8 +28,8 @@ AdamOptimizer::AdamOptimizer(std::vector<Var> parameters, Options options)
 
 void AdamOptimizer::Step() {
   ++steps_;
-  double bias1 = 1.0 - CheckedPow(options_.beta1, static_cast<double>(steps_));
-  double bias2 = 1.0 - CheckedPow(options_.beta2, static_cast<double>(steps_));
+  double bias1 = 1.0 - CheckedPow(kBeta1, static_cast<double>(steps_));
+  double bias2 = 1.0 - CheckedPow(kBeta2, static_cast<double>(steps_));
   for (size_t i = 0; i < parameters_.size(); ++i) {
     Matrix& value = parameters_[i]->value;
     Matrix& grad = parameters_[i]->grad;
@@ -40,41 +45,14 @@ void AdamOptimizer::Step() {
       }
       double& m = m_[i].data()[k];
       double& v = v_[i].data()[k];
-      m = options_.beta1 * m + (1.0 - options_.beta1) * g;
-      v = options_.beta2 * v + (1.0 - options_.beta2) * g * g;
+      m = kBeta1 * m + (1.0 - kBeta1) * g;
+      v = kBeta2 * v + (1.0 - kBeta2) * g * g;
       double m_hat = m / bias1;
       double v_hat = v / bias2;
       // CheckedSqrt makes a NaN gradient die here (sanitizer/FPE
       // builds) instead of poisoning every parameter it touches.
       value.data()[k] -= options_.learning_rate * m_hat /
-                         (CheckedSqrt(v_hat) + options_.epsilon);
-    }
-    grad.SetZero();
-  }
-}
-
-SgdOptimizer::SgdOptimizer(std::vector<Var> parameters, double learning_rate,
-                           double momentum)
-    : parameters_(std::move(parameters)),
-      learning_rate_(learning_rate),
-      momentum_(momentum) {
-  velocity_.reserve(parameters_.size());
-  for (const Var& p : parameters_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-    p->EnsureGrad();
-  }
-}
-
-void SgdOptimizer::Step() {
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    Matrix& value = parameters_[i]->value;
-    Matrix& grad = parameters_[i]->grad;
-    TASQ_DCHECK(grad.SameShape(value));
-    TASQ_DCHECK(velocity_[i].SameShape(value));
-    for (size_t k = 0; k < value.size(); ++k) {
-      double& vel = velocity_[i].data()[k];
-      vel = momentum_ * vel - learning_rate_ * grad.data()[k];
-      value.data()[k] += vel;
+                         (CheckedSqrt(v_hat) + kEpsilon);
     }
     grad.SetZero();
   }

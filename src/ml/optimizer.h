@@ -12,26 +12,19 @@ namespace tasq {
 /// zeroed by the step, so the train loop is: forward -> Backward -> Step.
 class AdamOptimizer {
  public:
+  /// The moment decays and epsilon are Kingma & Ba's defaults
+  /// (0.9, 0.999, 1e-8), fixed in optimizer.cc.
   struct Options {
     double learning_rate = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
     /// Optional L2 weight decay (0 disables).
     double weight_decay = 0.0;
   };
 
-  explicit AdamOptimizer(std::vector<Var> parameters);
   AdamOptimizer(std::vector<Var> parameters, Options options);
 
   /// Applies one Adam update from the accumulated gradients, then zeroes
   /// the gradients.
   void Step();
-
-  /// Number of steps taken so far.
-  int64_t steps() const { return steps_; }
-
-  const std::vector<Var>& parameters() const { return parameters_; }
 
  private:
   std::vector<Var> parameters_;
@@ -39,22 +32,6 @@ class AdamOptimizer {
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
   int64_t steps_ = 0;
-};
-
-/// Plain SGD with optional momentum, used by ablations.
-class SgdOptimizer {
- public:
-  SgdOptimizer(std::vector<Var> parameters, double learning_rate,
-               double momentum = 0.0);
-
-  /// Applies one update, then zeroes the gradients.
-  void Step();
-
- private:
-  std::vector<Var> parameters_;
-  double learning_rate_;
-  double momentum_;
-  std::vector<Matrix> velocity_;
 };
 
 /// Total number of scalar parameters across `parameters` (Table 7's

@@ -114,6 +114,79 @@ std::pair<Var, Var> NnPccModel::Forward(const Var& x) const {
   return {p1, p2};
 }
 
+Result<double> TrainPccParameters(const std::vector<Var>& parameters,
+                                  size_t n, const TrainingSchedule& schedule,
+                                  const BatchLoss& batch_loss) {
+  AdamOptimizer optimizer(parameters,
+                          {.learning_rate = schedule.learning_rate,
+                           .weight_decay = schedule.weight_decay});
+  Rng rng(schedule.shuffle_seed);
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+
+  // Optional validation split for early stopping: a deterministic shuffle
+  // assigns the tail to validation; training shuffles only the head.
+  size_t validation = 0;
+  if (schedule.validation_fraction > 0.0 && n >= 10) {
+    rng.Shuffle(order);
+    validation = std::min(
+        n / 2, static_cast<size_t>(std::ceil(
+                   schedule.validation_fraction * static_cast<double>(n))));
+  }
+  size_t train_count = n - validation;
+
+  std::vector<Matrix> best_values;
+  double best_validation_loss = 1e300;
+  int epochs_without_improvement = 0;
+
+  size_t batch = std::max<size_t>(1, std::min(schedule.batch_size, n));
+  double last_epoch_loss = 0.0;
+  for (int epoch = 0; epoch < schedule.epochs; ++epoch) {
+    // Shuffle only the training head so the validation tail stays fixed.
+    for (size_t i = train_count; i > 1; --i) {
+      size_t j = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+      std::swap(order[i - 1], order[j]);
+    }
+    double epoch_loss = 0.0;
+    size_t batches = 0;
+    for (size_t start = 0; start < train_count; start += batch) {
+      size_t end = std::min(start + batch, train_count);
+      Result<Var> loss = batch_loss(order.data() + start, end - start);
+      if (!loss.ok()) return loss.status();
+      Backward(loss.value());
+      optimizer.Step();
+      epoch_loss += loss.value()->value.At(0, 0);
+      ++batches;
+    }
+    last_epoch_loss =
+        epoch_loss / static_cast<double>(std::max<size_t>(1, batches));
+
+    if (validation > 0) {
+      Result<Var> val_loss =
+          batch_loss(order.data() + train_count, validation);
+      if (!val_loss.ok()) return val_loss.status();
+      double value = val_loss.value()->value.At(0, 0);
+      if (value < best_validation_loss - 1e-9) {
+        best_validation_loss = value;
+        epochs_without_improvement = 0;
+        best_values.clear();
+        for (const Var& p : parameters) best_values.push_back(p->value);
+      } else if (++epochs_without_improvement >=
+                 schedule.early_stopping_patience) {
+        break;
+      }
+    }
+  }
+  if (validation > 0 && !best_values.empty()) {
+    for (size_t i = 0; i < parameters.size(); ++i) {
+      parameters[i]->value = best_values[i];
+    }
+    return best_validation_loss;
+  }
+  return last_epoch_loss;
+}
+
 Result<double> NnPccModel::Train(const std::vector<double>& features,
                                  const PccSupervision& supervision) {
   bool needs_xgb = options_.loss_form == LossForm::kLF3;
@@ -137,26 +210,8 @@ Result<double> NnPccModel::Train(const std::vector<double>& features,
                             ? options_.weights
                             : DefaultLossWeights(options_.loss_form);
 
-  AdamOptimizer optimizer(AllParameters(),
-                          {.learning_rate = options_.learning_rate,
-                           .weight_decay = options_.weight_decay});
-  Rng rng(options_.seed ^ 0xBADC0FFEULL);
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  // Optional validation split for early stopping: a deterministic shuffle
-  // assigns the tail to validation; training shuffles only the head.
-  size_t validation = 0;
-  if (options_.validation_fraction > 0.0 && n >= 10) {
-    rng.Shuffle(order);
-    validation = std::min(
-        n / 2, static_cast<size_t>(std::ceil(
-                   options_.validation_fraction * static_cast<double>(n))));
-  }
-  size_t train_count = n - validation;
-
-  // Builds a loss graph over a set of example indices.
-  auto build_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
+  // One forward pass over the batch's stacked feature rows.
+  auto batch_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
     Matrix x(count, input_dim_);
     PccLossBatch loss_batch;
     loss_batch.scaled_targets.resize(2 * count);
@@ -177,58 +232,16 @@ Result<double> NnPccModel::Train(const std::vector<double>& features,
     auto [p1, p2] = Forward(MakeConstant(std::move(x)));
     return BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
   };
-
-  std::vector<Var> parameters = AllParameters();
-  std::vector<Matrix> best_values;
-  double best_validation_loss = 1e300;
-  int epochs_without_improvement = 0;
-
-  size_t batch = std::max<size_t>(1, std::min(options_.batch_size, n));
-  double last_epoch_loss = 0.0;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    // Shuffle only the training head so the validation tail stays fixed.
-    for (size_t i = train_count; i > 1; --i) {
-      size_t j = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(i) - 1));
-      std::swap(order[i - 1], order[j]);
-    }
-    double epoch_loss = 0.0;
-    size_t batches = 0;
-    for (size_t start = 0; start < train_count; start += batch) {
-      size_t end = std::min(start + batch, train_count);
-      Result<Var> loss = build_loss(order.data() + start, end - start);
-      if (!loss.ok()) return loss.status();
-      Backward(loss.value());
-      optimizer.Step();
-      epoch_loss += loss.value()->value.At(0, 0);
-      ++batches;
-    }
-    last_epoch_loss =
-        epoch_loss / static_cast<double>(std::max<size_t>(1, batches));
-
-    if (validation > 0) {
-      Result<Var> val_loss =
-          build_loss(order.data() + train_count, validation);
-      if (!val_loss.ok()) return val_loss.status();
-      double value = val_loss.value()->value.At(0, 0);
-      if (value < best_validation_loss - 1e-9) {
-        best_validation_loss = value;
-        epochs_without_improvement = 0;
-        best_values.clear();
-        for (const Var& p : parameters) best_values.push_back(p->value);
-      } else if (++epochs_without_improvement >=
-                 options_.early_stopping_patience) {
-        break;
-      }
-    }
-  }
-  if (validation > 0 && !best_values.empty()) {
-    for (size_t i = 0; i < parameters.size(); ++i) {
-      parameters[i]->value = best_values[i];
-    }
-    return best_validation_loss;
-  }
-  return last_epoch_loss;
+  return TrainPccParameters(
+      AllParameters(), n,
+      {.epochs = options_.epochs,
+       .batch_size = options_.batch_size,
+       .learning_rate = options_.learning_rate,
+       .weight_decay = options_.weight_decay,
+       .validation_fraction = options_.validation_fraction,
+       .early_stopping_patience = options_.early_stopping_patience,
+       .shuffle_seed = options_.seed ^ 0xBADC0FFEULL},
+      batch_loss);
 }
 
 void NnPccModel::Serialize(TextArchiveWriter& writer) const {

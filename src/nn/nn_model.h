@@ -2,6 +2,7 @@
 #define TASQ_NN_NN_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,6 +28,34 @@ struct PccSupervision {
   /// Checks all populated vectors share the same length.
   TASQ_NODISCARD Status Validate(bool needs_xgb) const;
 };
+
+/// Optimization schedule of TrainPccParameters; the NN and the GNN fill it
+/// from their options.
+struct TrainingSchedule {
+  int epochs = 0;
+  size_t batch_size = 1;
+  double learning_rate = 0.0;
+  double weight_decay = 0.0;
+  double validation_fraction = 0.0;
+  int early_stopping_patience = 0;
+  /// Seeds the validation split and the per-epoch shuffles.
+  uint64_t shuffle_seed = 0;
+};
+
+/// Mean loss (a 1 x 1 autograd root) of the examples idx[0..count).
+using BatchLoss =
+    std::function<Result<Var>(const size_t* idx, size_t count)>;
+
+/// The training loop of the PCC-parameter models: Adam over `parameters`
+/// on shuffled mini-batches of the `n` examples. When
+/// validation_fraction > 0 and n >= 10, a one-time shuffle holds out a
+/// fixed validation tail; training stops after early_stopping_patience
+/// epochs without improvement and restores the best parameters. Returns
+/// the best validation loss in that case, else the final epoch's mean
+/// training loss.
+TASQ_NODISCARD Result<double> TrainPccParameters(
+    const std::vector<Var>& parameters, size_t n,
+    const TrainingSchedule& schedule, const BatchLoss& batch_loss);
 
 /// Training hyper-parameters for the feed-forward model.
 struct NnOptions {
@@ -59,8 +88,9 @@ class NnPccModel {
   NnPccModel(size_t input_dim, NnOptions options);
 
   /// Trains on standardized features (row-major N x input_dim) with the
-  /// given supervision; fits the target scaling internally. Returns the
-  /// final epoch's mean training loss.
+  /// given supervision; fits the target scaling internally, then runs
+  /// TrainPccParameters with one forward pass per mini-batch and returns
+  /// its loss.
   TASQ_NODISCARD Result<double> Train(const std::vector<double>& features,
                        const PccSupervision& supervision);
 

@@ -14,9 +14,9 @@ namespace {
 struct Completion {
   double time;
   double tokens;
-  /// Index into the submissions vector; only the arbiter path uses it (to
-  /// retire entries from the running set). Adaptive-release partial
-  /// returns reuse the struct with `final_release == false`.
+  /// Index into the submissions vector; the final release retires the job
+  /// from the running set. Adaptive-release partial returns reuse the
+  /// struct with `final_release == false`.
   size_t job_index;
   bool final_release;
   bool operator>(const Completion& other) const { return time > other.time; }
@@ -24,9 +24,18 @@ struct Completion {
 
 }  // namespace
 
-Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
-    std::vector<Submission> submissions) const {
-  return Run(std::move(submissions), nullptr);
+std::vector<TokenGrant> FifoGangGrants(const ArbitrationContext& context) {
+  std::vector<TokenGrant> grants;
+  double remaining = context.free_tokens;
+  for (const PendingJob& pending : context.pending) {
+    double request = pending.submission->requested_tokens;
+    // Head-of-line blocking: the first job that does not fit stops
+    // admission entirely (no backfilling).
+    if (request > remaining + 1e-9) break;
+    grants.push_back(TokenGrant{pending.index, request});
+    remaining -= request;
+  }
+  return grants;
 }
 
 Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
@@ -64,9 +73,8 @@ Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
 
   if (arbiter != nullptr) arbiter->Reset(config_, submissions);
 
-  // Starts submission `idx` now, holding `granted` tokens for its whole
-  // runtime. Shared by the FIFO path (granted == request) and the arbiter
-  // path (granted in [1, request]).
+  // Starts submission `idx` now, holding `granted` tokens (in
+  // [1, request]) for its whole runtime.
   auto start_job = [&](size_t idx, double granted) {
     const Submission& submission = submissions[idx];
     free_tokens -= granted;
@@ -122,17 +130,9 @@ Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
     running.push_back(RunningJob{idx, submission.tenant_id, granted});
   };
 
-  auto admit_fifo_head = [&]() {
-    while (!queue.empty()) {
-      size_t idx = queue.front();
-      const Submission& submission = submissions[idx];
-      if (submission.requested_tokens > free_tokens + 1e-9) break;
-      queue.pop_front();
-      start_job(idx, submission.requested_tokens);
-    }
-  };
-
-  auto arbitrate_and_admit = [&]() {
+  // Admission at one event: the arbiter's grants, or FIFO gang admission
+  // without one.
+  auto admit = [&]() {
     std::vector<PendingJob> pending;
     pending.reserve(queue.size());
     for (size_t idx : queue) {
@@ -140,21 +140,25 @@ Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
     }
     ArbitrationContext context{now, free_tokens, config_.cluster_tokens,
                                pending, running};
-    std::vector<TokenGrant> grants = arbiter->Arbitrate(context);
-    // Validate the arbiter's decision: grants reference distinct pending
-    // jobs, stay within [1, request], and fit the free pool. A violation
-    // is a policy bug, not a user error.
+    std::vector<TokenGrant> grants = arbiter != nullptr
+                                         ? arbiter->Arbitrate(context)
+                                         : FifoGangGrants(context);
+    // Validate the decision: grants reference distinct pending jobs, stay
+    // within [1, request], and fit the free pool. A violation is a policy
+    // bug, not a user error.
     std::sort(grants.begin(), grants.end(),
               [](const TokenGrant& a, const TokenGrant& b) {
                 return a.index < b.index;
               });
-    if (grants.empty() && running.empty() &&
+    if (grants.empty() && completions.empty() &&
         next_arrival >= order.size() && !queue.empty()) {
-      // No-starvation backstop: the pool is fully free, no more events
-      // will ever arrive, and the policy still granted nothing (e.g. a
-      // credit-broke Karma tenant whose request exceeds its fair share).
-      // Force-admit the oldest pending job at its full request — it
-      // always fits an idle pool because requests were validated against
+      // No-starvation backstop: no token is held or still due back (under
+      // adaptive release a job's last partial return can come after its
+      // final one, so an empty running set does not mean an idle pool),
+      // no more events will arrive, and the policy still granted nothing
+      // (e.g. a credit-broke Karma tenant whose request exceeds its fair
+      // share). Force-admit the oldest pending job at its full request;
+      // it fits the idle pool because requests were validated against
       // cluster_tokens.
       size_t idx = queue.front();
       queue.pop_front();
@@ -187,63 +191,39 @@ Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
     TASQ_CHECK_LE(granted_total, context.free_tokens + 1e-6);
   };
 
-  if (arbiter == nullptr) {
-    // FIFO gang admission, one event per iteration (the original
-    // semantics, kept byte-for-byte for existing traces and goldens).
-    while (next_arrival < order.size() || !completions.empty()) {
-      double arrival_time =
-          next_arrival < order.size()
-              ? submissions[order[next_arrival]].arrival_seconds
-              : 1e300;
-      double completion_time =
-          !completions.empty() ? completions.top().time : 1e300;
-      if (arrival_time <= completion_time) {
-        now = std::max(now, arrival_time);
-        queue.push_back(order[next_arrival]);
-        ++next_arrival;
-      } else {
-        now = completion_time;
-        free_tokens += completions.top().tokens;
-        completions.pop();
-        // Releases return only what was held: the pool never exceeds the
-        // cluster's capacity (within accumulated float noise).
-        TASQ_CHECK_LE(free_tokens, config_.cluster_tokens + 1e-6);
-      }
-      admit_fifo_head();
-    }
-  } else {
-    // Arbiter path: batch all events at the same instant (completions
-    // free their tokens first, then simultaneous arrivals join the
-    // queue), so the policy decides with the full picture of the event.
-    while (next_arrival < order.size() || !completions.empty()) {
-      double arrival_time =
-          next_arrival < order.size()
-              ? submissions[order[next_arrival]].arrival_seconds
-              : 1e300;
-      double completion_time =
-          !completions.empty() ? completions.top().time : 1e300;
-      now = std::max(now, std::min(arrival_time, completion_time));
-      while (!completions.empty() && completions.top().time <= now) {
-        const Completion& done = completions.top();
-        free_tokens += done.tokens;
-        TASQ_CHECK_LE(free_tokens, config_.cluster_tokens + 1e-6);
-        if (done.final_release) {
-          for (auto it = running.begin(); it != running.end(); ++it) {
-            if (it->index == done.job_index) {
-              running.erase(it);
-              break;
-            }
+  // One event loop: batch all events at the same instant (completions
+  // free their tokens first, then simultaneous arrivals join the queue),
+  // so admission decides with the full picture of the event.
+  while (next_arrival < order.size() || !completions.empty()) {
+    double arrival_time =
+        next_arrival < order.size()
+            ? submissions[order[next_arrival]].arrival_seconds
+            : 1e300;
+    double completion_time =
+        !completions.empty() ? completions.top().time : 1e300;
+    now = std::max(now, std::min(arrival_time, completion_time));
+    while (!completions.empty() && completions.top().time <= now) {
+      const Completion& done = completions.top();
+      free_tokens += done.tokens;
+      // Releases return only what was held: the pool never exceeds the
+      // cluster's capacity (within accumulated float noise).
+      TASQ_CHECK_LE(free_tokens, config_.cluster_tokens + 1e-6);
+      if (done.final_release) {
+        for (auto it = running.begin(); it != running.end(); ++it) {
+          if (it->index == done.job_index) {
+            running.erase(it);
+            break;
           }
         }
-        completions.pop();
       }
-      while (next_arrival < order.size() &&
-             submissions[order[next_arrival]].arrival_seconds <= now) {
-        queue.push_back(order[next_arrival]);
-        ++next_arrival;
-      }
-      arbitrate_and_admit();
+      completions.pop();
     }
+    while (next_arrival < order.size() &&
+           submissions[order[next_arrival]].arrival_seconds <= now) {
+      queue.push_back(order[next_arrival]);
+      ++next_arrival;
+    }
+    admit();
   }
   // Drain: every submission fits the cluster (validated above), so the
   // queue must be empty and every reserved token returned to the pool.

@@ -91,6 +91,12 @@ struct ArbitrationContext {
   const std::vector<RunningJob>& running;
 };
 
+/// Strict FIFO gang admission: grants pending jobs their full request in
+/// arrival order and stops at the first one that does not fit the free
+/// pool (no backfilling). ClusterScheduler::Run admits through it when no
+/// arbiter is given, and the kFifoGang policy returns it.
+std::vector<TokenGrant> FifoGangGrants(const ArbitrationContext& context);
+
 /// Decides, at each scheduling event, which queued jobs start now and at
 /// what token grant. Implementations (welfare-maximizing, max-min fair,
 /// Karma credits, and the FIFO baseline) live in src/arbiter; simcluster
@@ -114,39 +120,35 @@ class AllocationArbiter {
       const ArbitrationContext& context) = 0;
 };
 
-/// A FIFO gang-admission scheduler over a finite token pool — the cluster-
+/// A gang-admission scheduler over a finite token pool — the cluster-
 /// level substrate behind the paper's §1 motivation that smaller token
 /// requests "reduce job wait time and improve overall resource
 /// availability".
 ///
-/// Default semantics: submissions queue in arrival order; the head of the
-/// queue is admitted as soon as its full request is free (strict FIFO — no
-/// backfilling, so over-allocation directly translates into head-of-line
-/// blocking); admitted jobs run on a private ClusterSimulator at their
-/// granted allocation and hold the full request until completion.
-///
-/// With an arbiter, admission and grant sizing are delegated: at every
-/// event (arrival or completion) the arbiter sees the pending queue, the
-/// running set, and the free pool, and returns the grants to start now.
+/// Submissions queue in arrival order. At every scheduling event the
+/// admission policy sees the pending queue, the running set, and the free
+/// pool, and returns the grants to start now: FifoGangGrants by default
+/// (strict FIFO, so over-allocation directly translates into head-of-line
+/// blocking), or an arbiter's. Admitted jobs run on a private
+/// ClusterSimulator at their granted allocation and hold it until
+/// completion (or, with adaptive_release, its suffix maximum).
 class ClusterScheduler {
  public:
   explicit ClusterScheduler(SchedulerConfig config)
       : config_(std::move(config)) {}
 
-  /// Simulates the whole submission trace under FIFO gang admission.
-  /// Fails if any request exceeds the pool or any plan is invalid.
-  /// Results are in submission order.
+  /// Simulates the whole submission trace in one event loop: at each
+  /// event instant, completions free their tokens first, simultaneous
+  /// arrivals then join the queue, and admission runs last — through
+  /// `arbiter` (Reset first) when given, else FifoGangGrants. If no token
+  /// is held or still due back, the trace is exhausted, and admission
+  /// still grants nothing, the oldest pending job is force-admitted at its
+  /// full request so every trace drains (no-starvation backstop, see
+  /// DESIGN.md). Fails if any request exceeds the pool or any plan is
+  /// invalid. Results are in submission order.
   TASQ_NODISCARD Result<std::vector<ScheduledJob>> Run(
-      std::vector<Submission> submissions) const;
-
-  /// Simulates the trace with admission delegated to `arbiter` (nullptr
-  /// falls back to FIFO gang admission). The arbiter is Reset first and
-  /// then consulted at every scheduling event; if the pool is idle, the
-  /// trace is exhausted, and the arbiter still grants nothing, the oldest
-  /// pending job is force-admitted at its full request so every trace
-  /// drains (no-starvation backstop, see DESIGN.md).
-  TASQ_NODISCARD Result<std::vector<ScheduledJob>> Run(
-      std::vector<Submission> submissions, AllocationArbiter* arbiter) const;
+      std::vector<Submission> submissions,
+      AllocationArbiter* arbiter = nullptr) const;
 
   const SchedulerConfig& config() const { return config_; }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "feat/featurizer.h"
+#include "tasq/tasq.h"
 
 namespace tasq {
 
@@ -39,10 +39,7 @@ Result<ExecutorRunResult> RunOnExecutors(const JobPlan& plan, int executors,
 
 struct AutoExecutor::Impl {
   AutoExecutorOptions options;
-  bool trained = false;
-  std::unique_ptr<DatasetScalers> scalers;
-  std::unique_ptr<NnPccModel> nn;
-  Featurizer featurizer;
+  Tasq tasq;
 
   int DefaultExecutors(const Job& job) const {
     int cores = options.platform.cores_per_executor;
@@ -60,7 +57,7 @@ AutoExecutor::~AutoExecutor() = default;
 AutoExecutor::AutoExecutor(AutoExecutor&&) noexcept = default;
 AutoExecutor& AutoExecutor::operator=(AutoExecutor&&) noexcept = default;
 
-bool AutoExecutor::trained() const { return impl_->trained; }
+bool AutoExecutor::trained() const { return impl_->tasq.trained(); }
 const AutoExecutorOptions& AutoExecutor::options() const {
   return impl_->options;
 }
@@ -69,10 +66,13 @@ Status AutoExecutor::Train(const std::vector<Job>& jobs) {
   if (jobs.empty()) {
     return Status::InvalidArgument("cannot train on zero jobs");
   }
+  if (impl_->options.nn.loss_form == LossForm::kLF3) {
+    return Status::InvalidArgument(
+        "AutoExecutor trains only the NN; use LF1 or LF2");
+  }
   // Observe each job once at its default executor count; the dataset
   // builder, AREPAS augmentation, and power-law targets are unit-agnostic,
-  // so the whole TASQ training path is reused with executors as the
-  // resource axis.
+  // so Tasq::Train runs unchanged with executors as the resource axis.
   std::vector<ObservedJob> observed;
   observed.reserve(jobs.size());
   for (const Job& job : jobs) {
@@ -90,40 +90,21 @@ Status AutoExecutor::Train(const std::vector<Job>& jobs) {
     entry.peak_tokens = run.value().peak_executors_used;
     observed.push_back(std::move(entry));
   }
-  DatasetBuilder builder(impl_->options.dataset);
-  Result<Dataset> built = builder.Build(observed);
-  if (!built.ok()) return built.status();
-  Dataset dataset = std::move(built.value());
-  Result<DatasetScalers> scalers = FitScalers(dataset);
-  if (!scalers.ok()) return scalers.status();
-  impl_->scalers =
-      std::make_unique<DatasetScalers>(std::move(scalers.value()));
-  ApplyScalers(*impl_->scalers, dataset);
-
-  PccSupervision supervision;
-  supervision.targets = dataset.targets;
-  supervision.observed_tokens = dataset.observed_tokens;
-  supervision.observed_runtime = dataset.observed_runtime;
-  if (impl_->options.nn.loss_form == LossForm::kLF3) {
-    return Status::InvalidArgument(
-        "AutoExecutor trains only the NN; use LF1 or LF2");
-  }
-  impl_->nn = std::make_unique<NnPccModel>(dataset.job_feature_dim,
-                                           impl_->options.nn);
-  Result<double> loss = impl_->nn->Train(dataset.job_features, supervision);
-  if (!loss.ok()) return loss.status();
-  impl_->trained = true;
+  TasqOptions options;
+  options.dataset = impl_->options.dataset;
+  options.nn = impl_->options.nn;
+  options.train_xgb = false;
+  options.train_gnn = false;
+  Tasq tasq(options);
+  Status trained = tasq.Train(observed);
+  if (!trained.ok()) return trained;
+  impl_->tasq = std::move(tasq);
   return Status::Ok();
 }
 
 Result<PowerLawPcc> AutoExecutor::PredictPcc(const JobGraph& graph) const {
-  if (!impl_->trained) {
-    return Status::FailedPrecondition("AutoExecutor has not been trained");
-  }
-  Result<std::vector<double>> features = impl_->featurizer.JobLevel(graph);
-  if (!features.ok()) return features.status();
-  impl_->scalers->job_scaler.Transform(features.value());
-  return impl_->nn->Predict(features.value());
+  // The NN does not read the reference allocation; 1 executor is valid.
+  return impl_->tasq.PredictPcc(graph, ModelKind::kNn, 1.0);
 }
 
 Result<int> AutoExecutor::RecommendExecutors(

@@ -52,9 +52,10 @@ struct AutoExecutorOptions {
 
 /// AutoExecutor: TASQ's recipe re-instantiated for Spark SQL (paper §2.3
 /// and the AutoExecutor companion paper): observe each query once at its
-/// default executor count, synthesize the executor-PCC with AREPAS on the
-/// executor skyline, fit power-law targets, and train an NN that predicts
-/// the PCC — in executors — for unseen queries.
+/// default executor count, then train a Tasq pipeline restricted to the
+/// NN on those observations — AREPAS synthesizes the executor-PCC from the
+/// executor skyline, power-law targets are fitted, and the NN predicts the
+/// PCC — in executors — for unseen queries.
 class AutoExecutor {
  public:
   explicit AutoExecutor(AutoExecutorOptions options = {});

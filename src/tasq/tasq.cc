@@ -22,6 +22,14 @@ const char* ModelKindName(ModelKind kind) {
   return "Unknown";
 }
 
+Status ValidateReferenceTokens(double reference_tokens) {
+  if (!std::isfinite(reference_tokens) || reference_tokens < 1.0) {
+    return Status::InvalidArgument(
+        "reference tokens must be finite and at least 1");
+  }
+  return Status::Ok();
+}
+
 struct Tasq::Impl {
   TasqOptions options;
   bool trained = false;
@@ -236,6 +244,8 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
   if (!impl_->trained) {
     return Status::FailedPrecondition("pipeline has not been trained");
   }
+  Status valid = ValidateReferenceTokens(reference_tokens);
+  if (!valid.ok()) return valid;
   if (token_grid.empty()) {
     return Status::InvalidArgument("token grid is empty");
   }
@@ -291,6 +301,13 @@ Result<double> Tasq::PredictRuntime(const JobGraph& graph, ModelKind kind,
 Result<TokenRecommendation> Tasq::RecommendTokens(
     const JobGraph& graph, ModelKind kind, double reference_tokens,
     double min_improvement_percent, double max_slowdown_fraction) const {
+  Status valid = ValidateReferenceTokens(reference_tokens);
+  if (!valid.ok()) return valid;
+  if (!std::isfinite(min_improvement_percent) ||
+      !std::isfinite(max_slowdown_fraction)) {
+    return Status::InvalidArgument(
+        "improvement and slowdown bounds must be finite");
+  }
   if (kind == ModelKind::kXgboostSs) {
     // No parametric curve: run the discrete diminishing-returns walk over
     // the smoothed curve sampled down to 20% of the reference.
@@ -377,6 +394,8 @@ Status Tasq::PredictPccBatchInto(const JobGraph* const* graphs, size_t count,
     if (graphs[i] == nullptr) {
       return Status::InvalidArgument("null graph in batch");
     }
+    Status valid = ValidateReferenceTokens(reference_tokens[i]);
+    if (!valid.ok()) return valid;
   }
   // NN and XGBoost-PL read only the standardized job-level rows, built
   // straight into the reused scratch matrix.

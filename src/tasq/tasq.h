@@ -37,6 +37,12 @@ static_assert(static_cast<size_t>(ModelKind::kGnn) + 1 == kModelKindCount,
 /// Short display name ("XGBoost SS", "NN", ...).
 const char* ModelKindName(ModelKind kind);
 
+/// Checks a reference token count before anything compares with it: it
+/// must be finite (tested first, so a NaN never reaches an ordered
+/// comparison) and at least 1. Every Tasq scoring entry point runs it, and
+/// so does ValidateWhatIfRequest.
+TASQ_NODISCARD Status ValidateReferenceTokens(double reference_tokens);
+
 /// End-to-end configuration of the TASQ pipeline.
 struct TasqOptions {
   DatasetOptions dataset;
@@ -109,9 +115,10 @@ class Tasq {
   /// runs the whole batch through a single forward pass, bit-identical
   /// per row to a batch of one, and reuses `scratch` so a serving loop
   /// that recycles one scratch performs the whole featurize-and-predict
-  /// NN path without heap allocation once warm — the cold-submit-path
-  /// budget in BENCH_serving.json rests on this. Fails for XGBoost-SS (no
-  /// parametric form) and on the first graph that fails to featurize.
+  /// NN path without heap allocation once warm — HotPathTest's cold-submit
+  /// allocation budget rests on this. Fails for XGBoost-SS (no parametric
+  /// form), on any reference token count ValidateReferenceTokens rejects,
+  /// and on the first graph that fails to featurize.
   TASQ_NODISCARD Status PredictPccBatchInto(const JobGraph* const* graphs,
                                             size_t count, ModelKind kind,
                                             const double* reference_tokens,
@@ -133,7 +140,8 @@ class Tasq {
   /// `reference_tokens`. When `max_slowdown_fraction` is non-negative, the
   /// recommendation additionally honors the user's performance constraint:
   /// the predicted run time never exceeds (1 + max_slowdown_fraction) times
-  /// the predicted run time at the reference allocation.
+  /// the predicted run time at the reference allocation. Both bounds must
+  /// be finite.
   TASQ_NODISCARD Result<TokenRecommendation> RecommendTokens(
       const JobGraph& graph, ModelKind kind, double reference_tokens,
       double min_improvement_percent = 1.0,

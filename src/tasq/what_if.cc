@@ -38,10 +38,8 @@ std::vector<double> ReportGrid(double reference_tokens, size_t points) {
 }  // namespace
 
 Status ValidateWhatIfRequest(double reference_tokens, size_t grid_points) {
-  if (!std::isfinite(reference_tokens) || reference_tokens < 1.0) {
-    return Status::InvalidArgument(
-        "reference tokens must be finite and at least 1");
-  }
+  Status valid = ValidateReferenceTokens(reference_tokens);
+  if (!valid.ok()) return valid;
   if (grid_points > kMaxWhatIfGridPoints) {
     return Status::InvalidArgument("grid points must be at most " +
                                    std::to_string(kMaxWhatIfGridPoints));

@@ -49,9 +49,9 @@ struct WhatIfReport {
 inline constexpr size_t kMaxWhatIfGridPoints = 1024;
 
 /// Checks a request's scoring numbers before anything compares or
-/// allocates with them: `reference_tokens` must be finite (tested first,
-/// so a NaN never reaches an ordered comparison) and at least 1, and
-/// `grid_points` at most kMaxWhatIfGridPoints. Fewer than 3 grid points
+/// allocates with them: `reference_tokens` must pass
+/// ValidateReferenceTokens, and `grid_points` must be at most
+/// kMaxWhatIfGridPoints. Fewer than 3 grid points
 /// is not an error: the builders raise it to 3. Both builders below run
 /// it first, and so does PccServer::Submit.
 TASQ_NODISCARD Status ValidateWhatIfRequest(double reference_tokens,

@@ -51,8 +51,8 @@ TEST(ArbiterTest, PolicyNamesAreStable) {
 }
 
 TEST(ArbiterTest, FifoArbiterMatchesInlineScheduler) {
-  // The kFifoGang policy routed through the arbiter machinery must
-  // reproduce the scheduler's built-in FIFO path byte for byte.
+  // The kFifoGang policy and the scheduler's default admission (no
+  // arbiter) must agree byte for byte.
   WorkloadConfig config;
   config.seed = 5;
   WorkloadGenerator generator(config);

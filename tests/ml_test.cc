@@ -221,17 +221,6 @@ TEST(AdamTest, MinimizesSimpleQuadratic) {
   }
 }
 
-TEST(SgdTest, MinimizesSimpleQuadratic) {
-  Var x = MakeParameter(Matrix::RowVector({5.0}));
-  SgdOptimizer sgd({x}, 0.1, 0.5);
-  for (int step = 0; step < 200; ++step) {
-    Var loss = Mean(Mul(x, x));
-    Backward(loss);
-    sgd.Step();
-  }
-  EXPECT_NEAR(x->value.At(0, 0), 0.0, 1e-3);
-}
-
 TEST(OptimizerTest, CountParameters) {
   Var a = MakeParameter(Matrix(3, 4));
   Var b = MakeParameter(Matrix(1, 5));

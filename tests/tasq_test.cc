@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "tasq/dataset.h"
 #include "tasq/evaluation.h"
@@ -272,6 +274,37 @@ TEST_F(TasqFixture, PredictRuntimeMatchesPccEvaluation) {
       entry.job.graph, ModelKind::kNn, entry.observed_tokens, 24.0);
   ASSERT_TRUE(runtime.ok());
   EXPECT_NEAR(runtime.value(), pcc.value().EvalRunTime(24.0), 1e-9);
+}
+
+TEST_F(TasqFixture, ScoringRejectsInvalidReferenceTokens) {
+  // Each entry point rejects the token count before any model compares
+  // with it (a NaN must not reach an ordered comparison: the FPE leg traps
+  // FE_INVALID).
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const JobGraph& graph = (*test_observed_)[0].job.graph;
+  for (ModelKind kind : {ModelKind::kXgboostSs, ModelKind::kXgboostPl,
+                         ModelKind::kNn, ModelKind::kGnn}) {
+    for (double tokens : {kNan, kInf, -kInf, 0.0, 0.5}) {
+      SCOPED_TRACE(std::string(ModelKindName(kind)) + " at " +
+                   std::to_string(tokens));
+      EXPECT_EQ(pipeline_->PredictPcc(graph, kind, tokens).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(pipeline_->PredictCurve(graph, kind, tokens, {8.0, 16.0})
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(pipeline_->RecommendTokens(graph, kind, tokens).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(
+        pipeline_->RecommendTokens(graph, kind, 32.0, kNan).status().code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(pipeline_->RecommendTokens(graph, kind, 32.0, 1.0, kInf)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(TasqFixture, UntrainedPipelineFailsCleanly) {

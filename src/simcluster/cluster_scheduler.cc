@@ -131,10 +131,10 @@ Result<std::vector<ScheduledJob>> ClusterScheduler::Run(
   };
 
   // Admission at one event: the arbiter's grants, or FIFO gang admission
-  // without one.
+  // without one. `pending` lives outside so events reuse its capacity.
+  std::vector<PendingJob> pending;
   auto admit = [&]() {
-    std::vector<PendingJob> pending;
-    pending.reserve(queue.size());
+    pending.clear();
     for (size_t idx : queue) {
       pending.push_back(PendingJob{idx, &submissions[idx]});
     }

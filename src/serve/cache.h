@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/hot.h"
 #include "common/mutex.h"
@@ -31,18 +31,9 @@ struct ReportCacheKey {
   }
 };
 
-/// Splitmix-style mix of the four key fields — the hash behind
-/// ReportCacheKeyHash, exposed as a free function so the hot-path
-/// analyzer can anchor its contract here (the functor call inside
-/// unordered_map is invisible to a textual call graph).
+/// Splitmix-style mix of the four key fields. ReportCache picks a key's
+/// shard from the high bits and its first probe slot from the low bits.
 TASQ_HOT size_t HashReportCacheKey(const ReportCacheKey& key);
-
-/// Hash for ReportCacheKey; delegates to HashReportCacheKey.
-struct ReportCacheKeyHash {
-  size_t operator()(const ReportCacheKey& key) const {
-    return HashReportCacheKey(key);
-  }
-};
 
 /// Counter snapshot of a cache instance since construction.
 struct ReportCacheCounters {
@@ -60,33 +51,45 @@ struct ReportCacheCounters {
 /// and skips model inference entirely. Capacity 0 disables caching (every
 /// GetInto is a miss, Put is a no-op) — handy for A/B benchmarks.
 ///
-/// Concurrency design (PR 8, ROADMAP item 1): the table is an immutable
-/// snapshot behind Snapshot<Table>, so the read path — GetInto, the
-/// serving fast path — takes **zero locks**: one lock-free snapshot pin,
-/// a hash lookup, and relaxed-atomic counter bumps. Writers (Put) do
-/// copy-update-swap of the whole table under a writer mutex; recency is
-/// a shared monotonic tick written into each entry's relaxed atomic
-/// `last_used` on every hit, and eviction scans for the minimum tick.
-/// Under sequential use the tick order is exactly the classic list-LRU
-/// order (the unit tests pin this); under concurrency it is LRU up to
-/// racing hits, which only shifts *which* entry evicts, never breaks
-/// the size bound.
+/// Sharding: the entries are split into max(1, capacity / 64) shards,
+/// chosen by the high bits of HashReportCacheKey. Shard capacities differ
+/// by at most one and sum to `capacity`, so no shard holds more than 127
+/// entries and caches under 128 entries are a single shard. LRU is exact
+/// within a shard: a Put into a full shard evicts that shard's least
+/// recently used entry, which under a well-mixed hash is close to the
+/// global one.
+///
+/// Concurrency: each shard is an immutable open-addressed table behind
+/// its own Snapshot<Table>, so the read path — GetInto, the serving fast
+/// path — takes **zero locks**: one lock-free snapshot pin, a probe of
+/// one or two slots, and relaxed-atomic counter bumps. A Put does
+/// copy-update-swap of its own shard only, under that shard's writer
+/// mutex: it rebuilds the shard's table (a new table and slot array,
+/// plus a reference-count bump per surviving entry) and publishes it, so
+/// writers to different shards never wait on each other. Recency is a
+/// shared monotonic tick written into each entry's relaxed atomic
+/// `last_used` on every hit, and eviction scans the shard for the minimum
+/// tick. Under sequential use the tick order is exactly the classic
+/// list-LRU order within a shard (the unit tests pin this); under
+/// concurrency it is LRU up to racing hits, which only shifts *which*
+/// entry evicts, never breaks the size bound.
 class ReportCache {
  public:
   explicit ReportCache(size_t capacity);
 
   /// Copies the cached report into `*out` (refreshing recency) and
   /// returns true, or returns false on a miss leaving `*out` untouched.
-  /// Counts the hit/miss either way. Lock-free (Snapshot<Table> pin; no
-  /// mutex anywhere on this path) and steady-state allocation-free: the
-  /// copy-assign into a warm `*out` reuses the curve vector's existing
-  /// capacity, so a caller that recycles its report buffer pays zero
-  /// heap allocations per hit (pinned by tests/hot_path_test.cc).
+  /// Counts the hit/miss either way. Lock-free (one Snapshot<Table> pin;
+  /// no mutex anywhere on this path) and steady-state allocation-free:
+  /// the copy-assign into a warm `*out` reuses the curve vector's
+  /// existing capacity, so a caller that recycles its report buffer pays
+  /// zero heap allocations per hit (pinned by tests/hot_path_test.cc).
   TASQ_HOT bool GetInto(const ReportCacheKey& key, WhatIfReport* out);
 
   /// Inserts (or refreshes) `report`, evicting the least recently used
-  /// entry when at capacity. Cold path: copies the table (shared_ptr
-  /// per entry, not report bytes) and publishes the new version.
+  /// entry of the key's shard when that shard is full. Cold path: rebuilds
+  /// the shard's table (shared_ptr per entry, not report bytes) and
+  /// publishes the new version.
   void Put(const ReportCacheKey& key, WhatIfReport report);
 
   /// Point-in-time counters. Each counter is individually exact; a
@@ -105,12 +108,47 @@ class ReportCache {
     mutable std::atomic<uint64_t> last_used{0};
   };
 
-  /// Entries are shared between successive table versions, so a hit's
-  /// recency bump is visible to the writer regardless of which version
-  /// the reader pinned.
-  using Table =
-      std::unordered_map<ReportCacheKey, std::shared_ptr<const CacheEntry>,
-                         ReportCacheKeyHash>;
+  /// One slot of a shard table. Empty when `entry` is null. Entries are
+  /// shared between successive table versions, so a hit's recency bump
+  /// is visible to the writer regardless of which version the reader
+  /// pinned.
+  struct Slot {
+    size_t hash = 0;
+    ReportCacheKey key;
+    std::shared_ptr<const CacheEntry> entry;
+  };
+
+  /// One published version of a shard: linear probing over a power-of-
+  /// two slot count at least twice the shard's capacity, so a probe ends
+  /// within a slot or two. Put rebuilds it from scratch, so it never
+  /// holds a tombstone. No slots until the shard's first Put.
+  struct Table {
+    std::vector<Slot> slots;
+    size_t size = 0;
+  };
+
+  struct Shard {
+    size_t capacity = 0;  // Set by the constructor, immutable after.
+    /// Guarded by put_mutex: the read-copy-update sequence in Put (read
+    /// the current table, rebuild, publish). Readers never take it —
+    /// they go through table's lock-free pin protocol.
+    Mutex put_mutex;
+    Snapshot<Table> table;
+  };
+
+  /// The slot holding `key` in `table`, or nullptr.
+  static const Slot* FindSlot(const Table& table, size_t hash,
+                              const ReportCacheKey& key);
+  /// Stores an entry in the first free slot of its probe sequence; the
+  /// key must be absent and `table` must have a free slot.
+  static void InsertSlot(Table& table, size_t hash, const ReportCacheKey& key,
+                         std::shared_ptr<const CacheEntry> entry);
+
+  Shard& ShardFor(size_t hash) {
+    // Multiply-shift over the hash's high 32 bits: uniform over any shard
+    // count, and independent of the low bits that pick the probe slot.
+    return shards_[((hash >> 32) * shard_count_) >> 32];
+  }
 
   uint64_t NextTick() const {
     // Relaxed: the tick is a monotonic recency stamp; ordering between
@@ -118,12 +156,9 @@ class ReportCache {
     return tick_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  const size_t capacity_;  // Immutable after construction.
-  /// Guarded by put_mutex_: the read-copy-update sequence in Put (read
-  /// current table, copy, mutate, publish). Readers never take it —
-  /// they go through table_'s lock-free pin protocol.
-  mutable Mutex put_mutex_;
-  Snapshot<Table> table_;
+  const size_t capacity_;     // Immutable after construction.
+  const size_t shard_count_;  // max(1, capacity_ / 64).
+  std::unique_ptr<Shard[]> shards_;
   /// Monotonic recency clock; advanced (relaxed) by hits and inserts.
   mutable std::atomic<uint64_t> tick_{0};
   // Statistic counters: relaxed throughout — each is an independent

@@ -115,6 +115,10 @@ std::future<Result<WhatIfReport>> PccServer::Submit(ScoreRequest request) {
     FulfillOk(pending, std::move(cached), /*from_cache=*/true);
     return future;
   }
+  // Counted here rather than taken from the cache's own miss count: a
+  // request that TryScoreCached already missed looks the cache up twice
+  // but is one miss. Relaxed: published like the other request counters.
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
 
   {
     MutexLock lock(mutex_);
@@ -141,9 +145,8 @@ bool PccServer::TryScoreCached(const ScoreRequest& request,
   key.reference_tokens = request.reference_tokens;
   key.grid_points = request.grid_points;
   if (!cache_.GetInto(key, out)) {
-    // The miss is already in the cache counters; received_ stays
-    // untouched so the caller's follow-up Submit counts the request
-    // exactly once.
+    // Neither received_ nor cache_misses_ moves: the caller's follow-up
+    // Submit counts the request, and its miss, exactly once.
     return false;
   }
   // A hit is a fully served request: count it exactly like a Submit-path
@@ -332,7 +335,7 @@ ServerStats PccServer::Stats() const {
   }
   ReportCacheCounters cache = cache_.counters();
   stats.cache_hits = cache.hits;
-  stats.cache_misses = cache.misses;
+  stats.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   stats.cache_evictions = cache.evictions;
   stats.cache_size = cache.size;
   return stats;

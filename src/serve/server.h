@@ -40,7 +40,10 @@ struct ServerStats {
   /// Requests fulfilled with an error status (shutdown rejections included).
   uint64_t failed = 0;
 
+  /// Requests answered from the cache (TryScoreCached hits included).
   uint64_t cache_hits = 0;
+  /// Requests Submit found missing from the cache; a TryScoreCached miss
+  /// followed by Submit counts once.
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   size_t cache_size = 0;
@@ -120,15 +123,16 @@ class PccServer {
   /// leaving `*out` untouched (the caller then goes through Submit).
   /// This is the zero-allocation, zero-lock serving path: a caller that
   /// reuses one `WhatIfReport` buffer across requests pays no heap
-  /// allocation, no future/promise machinery, and no lock at all — the
-  /// report table is an immutable snapshot behind Snapshot<Table>
-  /// (src/common/sync/snapshot.h), pinned lock-free per lookup. Pinned
-  /// at exactly 0 allocations per warm hit by tests/hot_path_test.cc and
-  /// enforced transitively by the hot set of scripts/tasq_check.py (whose
-  /// hot-mutex rule is the lock-freedom regression gate: no lock may
-  /// appear anywhere in the hot closure). Hits count into
-  /// received/completed/cache_hits and end-to-end latency exactly like
-  /// Submit-path requests.
+  /// allocation, no future/promise machinery, and no lock at all — each
+  /// cache shard's table is an immutable snapshot behind its own
+  /// Snapshot<Table> (src/common/sync/snapshot.h), and a lookup pins the
+  /// key's shard lock-free. Pinned at exactly 0 allocations per warm hit
+  /// by tests/hot_path_test.cc and enforced transitively by the hot set
+  /// of scripts/tasq_check.py (whose hot-mutex rule is the lock-freedom
+  /// regression gate: no lock may appear anywhere in the hot closure).
+  /// Hits count into received/completed/cache_hits and end-to-end
+  /// latency exactly like Submit-path requests; a miss counts nothing,
+  /// and the caller's follow-up Submit counts the request once.
   TASQ_HOT bool TryScoreCached(const ScoreRequest& request,
                                WhatIfReport* out)
       TASQ_EXCLUDES(mutex_);
@@ -205,6 +209,7 @@ class PccServer {
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> cache_misses_{0};
   LatencyHistogram queue_wait_hist_;
   LatencyHistogram inference_hist_;
   LatencyHistogram end_to_end_hist_;

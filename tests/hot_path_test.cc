@@ -3,8 +3,9 @@
 // allocation calls; these tests measure it. A counting operator new
 // (tests/alloc_counter.h) pins the warm cache-hit request path —
 // PccServer::TryScoreCached → JobGraph::Fingerprint → ReportCache::GetInto
-// — at exactly ZERO heap allocations per request, and checks the
-// lock-free latency histogram and fast-path stats that ride along.
+// — at exactly ZERO heap allocations per request, holds the cold submit
+// path and a cache Put to single-digit budgets, and checks the lock-free
+// latency histogram and fast-path stats that ride along.
 
 #include <gtest/gtest.h>
 
@@ -160,8 +161,13 @@ TEST_F(HotPathTest, TryScoreCachedMissesBeforePrimingAndHitsAfter) {
   EXPECT_FALSE(server.TryScoreCached(requests[0], &buffer));
   // A miss counts nothing on the server side (the caller re-submits).
   EXPECT_EQ(server.Stats().received, 0u);
+  EXPECT_EQ(server.Stats().cache_misses, 0u);
   Result<WhatIfReport> cold = server.Score(requests[0]);
   ASSERT_TRUE(cold.ok());
+  // The probe and the Submit behind Score looked the cache up twice, but
+  // it is one request and one miss.
+  EXPECT_EQ(server.Stats().received, 1u);
+  EXPECT_EQ(server.Stats().cache_misses, 1u);
   EXPECT_TRUE(server.TryScoreCached(requests[0], &buffer));
   EXPECT_FALSE(server.TryScoreCached(requests[1], &buffer));
 }
@@ -263,6 +269,45 @@ TEST_F(HotPathTest, ColdSubmitPathStaysWithinAllocationBudget) {
         << " allocations/request measured over " << kRequests
         << " requests (budget: " << kBudgetPerRequest << " per request)";
   }
+}
+
+// The miss path's cache write: a Put into a full default-size cache
+// rebuilds the key's shard, not the whole table. The reports are moved in,
+// so no report copy is charged; what remains is the entry, the shard's new
+// table and its slot array.
+TEST_F(HotPathTest, CachePutIntoFullCacheStaysWithinAllocationBudget) {
+  constexpr uint64_t kBudgetPerPut = 8;
+  constexpr uint64_t kPuts = 256;
+  const size_t capacity = PccServerOptions{}.cache_capacity;
+  auto key_of = [](uint64_t fingerprint) {
+    return ReportCacheKey{fingerprint, ModelKind::kNn, 10.0, 9};
+  };
+  auto curve_report = []() {
+    WhatIfReport report;
+    report.curve.resize(9);
+    return report;
+  };
+  ReportCache cache(capacity);
+  // Twice the capacity fills every shard, so each Put below evicts.
+  const uint64_t fill = 2 * capacity;
+  for (uint64_t i = 0; i < fill; ++i) cache.Put(key_of(i), curve_report());
+  std::vector<WhatIfReport> reports(kPuts);
+  for (WhatIfReport& report : reports) report = curve_report();
+  ReportCacheCounters full = cache.counters();
+  ASSERT_EQ(full.size, capacity);
+
+  uint64_t before = tasq_test::AllocationCount();
+  for (uint64_t i = 0; i < kPuts; ++i) {
+    cache.Put(key_of(fill + i), std::move(reports[i]));
+  }
+  uint64_t allocations = tasq_test::AllocationCount() - before;
+
+  EXPECT_EQ(cache.counters().evictions - full.evictions, kPuts);
+  EXPECT_LE(allocations, kBudgetPerPut * kPuts)
+      << "Put into a full cache exceeded its allocation budget: "
+      << (static_cast<double>(allocations) / kPuts)
+      << " allocations/Put measured over " << kPuts
+      << " Puts (budget: " << kBudgetPerPut << " per Put)";
 }
 
 // The fast path must serve the same bytes as cold scoring — buffer reuse

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <limits>
 #include <string>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "serve/cache.h"
 #include "serve/latency_histogram.h"
 #include "serve/server.h"
@@ -83,14 +86,14 @@ TEST(ServeCacheTest, KeyDistinguishesEveryScoringKnob) {
 
 TEST(ServeCacheTest, SignedZeroTokensHashToTheSameBucket) {
   // operator== compares doubles, under which -0.0 == +0.0; the hash must
-  // agree or equal keys land in different unordered_map buckets and a
-  // recurring job stops hitting its own cache entry (regression: the hash
-  // used the raw bit pattern, which differs between the two zeros).
+  // agree or equal keys probe different slots and a recurring job stops
+  // hitting its own cache entry (regression: the hash used the raw bit
+  // pattern, which differs between the two zeros).
   ReportCache cache(16);
   ReportCacheKey positive{42, ModelKind::kNn, +0.0, 9};
   ReportCacheKey negative{42, ModelKind::kNn, -0.0, 9};
   ASSERT_TRUE(positive == negative);
-  EXPECT_EQ(ReportCacheKeyHash()(positive), ReportCacheKeyHash()(negative));
+  EXPECT_EQ(HashReportCacheKey(positive), HashReportCacheKey(negative));
   cache.Put(negative, TinyReport(1.0));
   EXPECT_TRUE(Hit(cache, positive));
   EXPECT_EQ(cache.counters().size, 1u);
@@ -102,6 +105,113 @@ TEST(ServeCacheTest, ZeroCapacityDisablesCaching) {
   cache.Put(key, TinyReport(1.0));
   EXPECT_FALSE(Hit(cache, key));
   EXPECT_EQ(cache.counters().insertions, 0u);
+}
+
+// The cases above stay under 128 entries, so they run one shard. These
+// run many: after 10 x capacity distinct Puts every shard has overflowed
+// many times, yet the cache holds exactly `capacity` entries, a key read
+// back after every Put stays resident (LRU is exact within its shard), and
+// re-putting a resident key replaces it in place.
+void ExpectMultiShardLru(size_t capacity) {
+  ReportCache cache(capacity);
+  const ReportCacheKey hot{~uint64_t{0}, ModelKind::kNn, 10.0, 9};
+  cache.Put(hot, TinyReport(-1.0));
+  const uint64_t puts = 10 * capacity;
+  bool hot_kept = true;
+  for (uint64_t i = 0; i < puts; ++i) {
+    cache.Put({i, ModelKind::kNn, 10.0, 9},
+              TinyReport(static_cast<double>(i)));
+    hot_kept &= Hit(cache, hot);
+  }
+  EXPECT_TRUE(hot_kept) << "a key read back after every Put was evicted";
+  ReportCacheCounters full = cache.counters();
+  EXPECT_EQ(full.size, capacity);
+  EXPECT_EQ(full.insertions, puts + 1);
+  EXPECT_EQ(full.evictions, full.insertions - full.size);
+
+  const ReportCacheKey newest{puts - 1, ModelKind::kNn, 10.0, 9};
+  cache.Put(newest, TinyReport(-2.0));
+  ReportCacheCounters refreshed = cache.counters();
+  EXPECT_EQ(refreshed.size, capacity);
+  EXPECT_EQ(refreshed.insertions, full.insertions);
+  EXPECT_EQ(refreshed.evictions, full.evictions);
+  WhatIfReport report;
+  ASSERT_TRUE(cache.GetInto(newest, &report));
+  EXPECT_DOUBLE_EQ(report.reference_tokens, -2.0);
+}
+
+TEST(ServeCacheTest, MultiShardLruAtCapacity4096) {
+  ExpectMultiShardLru(4096);  // 64 shards of 64.
+}
+
+TEST(ServeCacheTest, MultiShardLruAtCapacity200) {
+  ExpectMultiShardLru(200);  // 3 shards: 67, 67 and 66.
+}
+
+// Writers publish shards while readers pin and copy out of them (a TSan
+// target: scripts/check.sh tsan runs every Serve* test). Each report's
+// reference_tokens is its key's fingerprint, so a hit on the wrong entry,
+// or on a torn one, shows.
+TEST(ServeCacheTest, ConcurrentPutsAndHitsAcrossShards) {
+  constexpr size_t kCapacity = 4096;
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 4;
+  constexpr uint64_t kKeysPerWriter = 2048;  // Twice the capacity in all.
+  constexpr uint64_t kMinLookups = 20000;
+  auto key_of = [](uint64_t fingerprint) {
+    return ReportCacheKey{fingerprint, ModelKind::kNn, 10.0, 9};
+  };
+  ReportCache cache(kCapacity);
+  std::atomic<int> writers_left{kWriters};
+  std::vector<uint64_t> lookups(kReaders, 0);
+  std::vector<uint64_t> hits(kReaders, 0);
+  std::vector<uint64_t> wrong(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint64_t i = 0; i < kKeysPerWriter; ++i) {
+        uint64_t fingerprint = static_cast<uint64_t>(w) * kKeysPerWriter + i;
+        cache.Put(key_of(fingerprint),
+                  TinyReport(static_cast<double>(fingerprint)));
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(static_cast<uint64_t>(100 + r));
+      WhatIfReport report;
+      // Keep reading until every writer is done, so reads overlap writes.
+      while (lookups[r] < kMinLookups ||
+             writers_left.load(std::memory_order_acquire) > 0) {
+        auto fingerprint = static_cast<uint64_t>(rng.UniformInt(
+            0, static_cast<int64_t>(kWriters * kKeysPerWriter) - 1));
+        ++lookups[r];
+        if (cache.GetInto(key_of(fingerprint), &report)) {
+          ++hits[r];
+          if (report.reference_tokens != static_cast<double>(fingerprint)) {
+            ++wrong[r];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  uint64_t total_lookups = 0;
+  uint64_t total_hits = 0;
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(wrong[r], 0u) << "reader " << r << " hit another key's report";
+    total_lookups += lookups[r];
+    total_hits += hits[r];
+  }
+  ReportCacheCounters counters = cache.counters();
+  EXPECT_EQ(counters.hits + counters.misses, total_lookups);
+  EXPECT_EQ(counters.hits, total_hits);
+  EXPECT_GT(counters.hits, 0u);
+  EXPECT_LE(counters.size, kCapacity);
+  EXPECT_EQ(counters.insertions, kWriters * kKeysPerWriter);
+  EXPECT_EQ(counters.evictions, counters.insertions - counters.size);
 }
 
 // ---- Fingerprint (serving-side determinism) ------------------------------

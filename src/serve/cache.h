@@ -120,7 +120,7 @@ class ReportCache {
 
   /// One published version of a shard: linear probing over a power-of-
   /// two slot count at least twice the shard's capacity, so a probe ends
-  /// within a slot or two. Put rebuilds it from scratch, so it never
+  /// within a slot or two. Put builds every version anew, so it never
   /// holds a tombstone. No slots until the shard's first Put.
   struct Table {
     std::vector<Slot> slots;

@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <utility>
+
+#include "common/sync/pause.h"
 
 namespace tasq {
 
 namespace {
+
+// How long the last awake worker polls an empty queue before parking. It
+// covers the gap between misses of a busy client (tens of microseconds)
+// many times over, and costs at most this much CPU per idle spell.
+constexpr auto kPollWindow = std::chrono::microseconds(500);
 
 // Integer nanoseconds between two steady_clock points, for the latency
 // histograms; steady_clock never runs backwards, so the cast is safe.
@@ -77,6 +85,8 @@ PccServer::PccServer(const Tasq& tasq, PccServerOptions options)
   }
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
+  // Relaxed: no worker has started yet.
+  awake_workers_.store(options_.num_threads, std::memory_order_relaxed);
   // No lock: the workers never touch workers_, and Shutdown cannot run
   // before the constructor returns.
   workers_.reserve(options_.num_threads);
@@ -120,6 +130,7 @@ std::future<Result<WhatIfReport>> PccServer::Submit(ScoreRequest request) {
   // but is one miss. Relaxed: published like the other request counters.
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
 
+  bool enqueued = false;
   {
     MutexLock lock(mutex_);
     while (!shutting_down_ && queue_.size() >= options_.queue_capacity) {
@@ -128,11 +139,23 @@ std::future<Result<WhatIfReport>> PccServer::Submit(ScoreRequest request) {
     if (!shutting_down_) {
       queue_.push_back(std::move(pending));
       max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
-      work_ready_cv_.NotifyOne();
-      return future;
+      queued_.store(queue_.size(), std::memory_order_relaxed);
+      enqueued = true;
     }
   }
-  FulfillError(pending, Status::FailedPrecondition("server is shut down"));
+  if (!enqueued) {
+    FulfillError(pending, Status::FailedPrecondition("server is shut down"));
+    return future;
+  }
+  // Wake after unlocking, so the woken worker does not block on mutex_.
+  // Skipping the wake while a worker polls cannot strand the request: a
+  // poller decrements polling_workers_ before it re-checks the queue
+  // under mutex_. If that re-check ran before this push, mutex_ orders
+  // the decrement before this load, which then sees it and wakes; if it
+  // runs after, it finds the request. Relaxed: mutex_ is the ordering.
+  if (polling_workers_.load(std::memory_order_relaxed) == 0) {
+    work_ready_cv_.NotifyOne();
+  }
   return future;
 }
 
@@ -203,18 +226,7 @@ void PccServer::WorkerLoop() {
   BatchScratch scratch;
   for (;;) {
     scratch.batch.clear();
-    {
-      MutexLock lock(mutex_);
-      while (!shutting_down_ && queue_.empty()) work_ready_cv_.Wait(mutex_);
-      if (queue_.empty()) return;  // Shutting down and fully drained.
-      size_t take = std::min(options_.max_batch, queue_.size());
-      scratch.batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        scratch.batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    space_free_cv_.NotifyAll();
+    if (!NextBatch(scratch.batch)) return;  // Shutting down and drained.
     auto picked_at = std::chrono::steady_clock::now();
     // Both batch counts land before ProcessBatch resolves any future of
     // this batch, so a caller holding a result sees them in Stats().
@@ -226,6 +238,56 @@ void PccServer::WorkerLoop() {
     ProcessBatch(scratch);
     inference_hist_.Observe(NsSince(picked_at));
   }
+}
+
+bool PccServer::NextBatch(std::vector<Pending>& batch) {
+  // Poll only as the last awake worker: while another worker is scoring,
+  // a poller would take CPU from it rather than save a wake-up.
+  // Relaxed: both reads are hints; the locked re-check below decides.
+  if (queued_.load(std::memory_order_relaxed) == 0 &&
+      awake_workers_.load(std::memory_order_relaxed) == 1) {
+    PollForWork();
+  }
+  {
+    MutexLock lock(mutex_);
+    if (!shutting_down_ && queue_.empty()) {
+      // Relaxed: awake_workers_ only changes under mutex_.
+      awake_workers_.fetch_sub(1, std::memory_order_relaxed);
+      while (!shutting_down_ && queue_.empty()) work_ready_cv_.Wait(mutex_);
+      awake_workers_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (queue_.empty()) return false;  // Shutting down and fully drained.
+    size_t take = std::min(options_.max_batch, queue_.size());
+    batch.reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    queued_.store(queue_.size(), std::memory_order_relaxed);
+  }
+  space_free_cv_.NotifyAll();
+  return true;
+}
+
+void PccServer::PollForWork() {
+  // Relaxed: mutex_ orders these counts against Submit (see Submit).
+  polling_workers_.fetch_add(1, std::memory_order_relaxed);
+  auto deadline = std::chrono::steady_clock::now() + kPollWindow;
+  // Relaxed: seeing the request early only ends the poll; NextBatch
+  // takes it under mutex_.
+  for (int spins = 0; queued_.load(std::memory_order_relaxed) == 0;
+       ++spins) {
+    if (spins < 64) {
+      CpuRelax();
+      continue;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    // Yield rather than pause: a thread sharing this CPU (the submitter
+    // itself, say) gets to run, and the kernel can move one of the two.
+    std::this_thread::yield();
+  }
+  // Before NextBatch's locked re-check of the queue; see Submit.
+  polling_workers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void PccServer::ProcessBatch(BatchScratch& scratch) {

@@ -93,6 +93,14 @@ struct PccServerOptions {
 /// cache, and batches the rest through the trained pipeline on
 /// `num_threads` worker threads the server starts and joins itself.
 ///
+/// Hand-off: a worker that finds the queue empty while every other worker
+/// is parked polls it for a short window before parking itself, and
+/// Submit wakes a parked worker only when no worker is polling. Under a
+/// steady stream of misses the submitting thread therefore hands requests
+/// to a worker that is already running instead of waking one per
+/// request; a wake-up that the kernel places on the submitter's own CPU
+/// would make the submitter pay for the worker's scoring.
+///
 /// The server borrows the pipeline: `tasq` must stay alive and untouched
 /// (no Train/Save/move) for the server's lifetime. Scoring a trained Tasq
 /// is const and thread-safe (see tasq.h), which is what lets every worker
@@ -183,6 +191,13 @@ class PccServer {
   /// max_batch of them, scores them; returns once shutdown has begun and
   /// the queue is empty.
   void WorkerLoop() TASQ_EXCLUDES(mutex_);
+  /// Moves the next batch (up to max_batch requests) into `batch`, first
+  /// polling when this is the only awake worker, then parking on
+  /// work_ready_cv_. Returns false once shutdown has begun and the queue
+  /// is empty.
+  bool NextBatch(std::vector<Pending>& batch) TASQ_EXCLUDES(mutex_);
+  /// Polls queued_ until a request arrives or the poll window ends.
+  void PollForWork();
   void ProcessBatch(BatchScratch& scratch);
   void ScoreOne(Pending& pending);
   void FulfillOk(Pending& pending, WhatIfReport report, bool from_cache);
@@ -199,6 +214,16 @@ class PccServer {
   std::deque<Pending> queue_ TASQ_GUARDED_BY(mutex_);
   bool shutting_down_ TASQ_GUARDED_BY(mutex_) = false;
   size_t max_queue_depth_ TASQ_GUARDED_BY(mutex_) = 0;
+
+  // Hand-off state (see the class comment). Both are written under mutex_
+  // and read without it: queued_ by a polling worker, awake_workers_ by a
+  // worker deciding whether to poll. Relaxed throughout — the lock a
+  // worker takes after either read is what orders the queue itself.
+  std::atomic<size_t> queued_{0};          // queue_.size()
+  std::atomic<unsigned> awake_workers_{0};  // workers not parked
+  /// Workers inside PollForWork. Submit skips the wake-up while it is
+  /// non-zero; see Submit for why that cannot lose a request.
+  std::atomic<unsigned> polling_workers_{0};
 
   // Observability, lock-free so neither the cache-hit fast path
   // (TryScoreCached) nor the worker loop touches a mutex to record.

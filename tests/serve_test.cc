@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <future>
@@ -408,6 +409,48 @@ TEST_F(ServeServerTest, ShutdownFulfillsInflightAndRejectsNewRequests) {
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 30u);
   EXPECT_EQ(stats.failed, 1u);
+}
+
+// A worker that finds the queue empty polls it briefly before parking, and
+// Submit skips the wake-up while one polls. Gaps that land before, around
+// and after the poll window exercise every side of that hand-off; a lost
+// wake-up shows as a future that never resolves, so each wait is bounded.
+TEST_F(ServeServerTest, SubmitsAroundThePollWindowAreAllServed) {
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 24;
+  const int gaps_us[] = {0, 50, 300, 450, 500, 550, 700, 1500};
+  std::vector<ScoreRequest> requests =
+      MakeRequests(1100, kProducers * kPerProducer, ModelKind::kNn);
+  for (unsigned threads : {1u, 2u}) {
+    PccServerOptions options;
+    options.num_threads = threads;
+    options.cache_capacity = 0;  // Every request must reach a worker.
+    PccServer server(*pipeline_, options);
+    std::atomic<int> served{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p]() {
+        for (int i = 0; i < kPerProducer; ++i) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(gaps_us[(i + p) % 8]));
+          auto future = server.Submit(requests[p * kPerProducer + i]);
+          if (future.wait_for(std::chrono::seconds(10)) !=
+              std::future_status::ready) {
+            return;  // Stranded: the count below reports it.
+          }
+          if (future.get().ok()) {
+            served.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    EXPECT_EQ(served.load(std::memory_order_relaxed),
+              kProducers * kPerProducer)
+        << threads << " worker(s)";
+    EXPECT_EQ(server.Stats().completed,
+              static_cast<uint64_t>(kProducers * kPerProducer));
+  }
 }
 
 TEST_F(ServeServerTest, InvalidGraphFailsThatRequestOnly) {

@@ -224,6 +224,53 @@ TEST(ClusterSimulatorTest, UsageNoiseScalesAreaNotRuntime) {
   EXPECT_LT(ratio, 2.6);
 }
 
+TEST(ClusterSimulatorTest, NoiseChannelsDrawPerTask) {
+  // Every task must take its own draws: a run whose tasks share one draw
+  // (every task straggles or none does, one jitter factor for all) keeps
+  // each mean plausible for a single seed yet destroys the per-task
+  // statistics the flighting noise stands in for. One stage of 20,000
+  // 10 s tasks; bounds are 5 sigma, so a correct stream fails them with
+  // probability ~1e-6 per check.
+  constexpr int kTasks = 20000;
+  constexpr double kDuration = 10.0;
+  JobPlan plan = SingleStagePlan(kTasks, kDuration);
+  NoiseModel quiet;  // Usage-accounting noise off: the runtime is the sum.
+  quiet.enabled = true;
+  quiet.failure_probability = 0.0;
+  quiet.usage_scale_sigma = 0.0;
+  quiet.usage_outlier_probability = 0.0;
+  NoiseModel stragglers = quiet;
+  stragglers.duration_jitter_sigma = 0.0;
+  NoiseModel jitter = quiet;
+  jitter.straggler_probability = 0.0;
+  ClusterSimulator sim;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    // On one token the runtime is the sum of the durations, and each
+    // straggler adds exactly one more base duration (factor 2).
+    auto serial = sim.Run(plan, RunConfig{1.0, stragglers, seed});
+    ASSERT_TRUE(serial.ok());
+    double straggled = serial.value().runtime_seconds / kDuration - kTasks;
+    double p = stragglers.straggler_probability;
+    double expected = kTasks * p;
+    EXPECT_NEAR(straggled, expected, 5.0 * std::sqrt(expected * (1.0 - p)));
+
+    // The log-normal multiplier has mean 1 and standard deviation ~sigma.
+    auto jittered = sim.Run(plan, RunConfig{1.0, jitter, seed});
+    ASSERT_TRUE(jittered.ok());
+    double sigma = jitter.duration_jitter_sigma;
+    EXPECT_NEAR(jittered.value().runtime_seconds / (kTasks * kDuration), 1.0,
+                5.0 * sigma / std::sqrt(static_cast<double>(kTasks)));
+
+    // All tasks at once: the makespan is the largest of 20,000 multipliers,
+    // which lands over 4 sigma above 1. One shared draw would exceed
+    // 3 sigma with probability ~0.1%.
+    auto parallel = sim.Run(plan, RunConfig{kTasks, jitter, seed});
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_GT(parallel.value().runtime_seconds / kDuration, 1.0 + 3.0 * sigma);
+  }
+}
+
 TEST(ClusterSimulatorTest, UsageOutliersCanExceedAllocation) {
   // Filter (2) of the flighting protocol exists because errant jobs record
   // more usage than allocated; the outlier mode reproduces that.

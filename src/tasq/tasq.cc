@@ -249,6 +249,15 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
   if (token_grid.empty()) {
     return Status::InvalidArgument("token grid is empty");
   }
+  // Checked before any model sees the grid: the spline's interval search
+  // has no interval for a NaN, and a power law evaluated at 0, a negative
+  // or an infinite count returns a non-finite run time.
+  for (double tokens : token_grid) {
+    if (!std::isfinite(tokens) || tokens <= 0.0) {
+      return Status::InvalidArgument(
+          "token grid entries must be finite and positive");
+    }
+  }
   if (kind == ModelKind::kXgboostSs) {
     if (impl_->xgb == nullptr) {
       return Status::FailedPrecondition("XGBoost model was not trained");
@@ -281,9 +290,6 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
   std::vector<PccSample> out;
   out.reserve(token_grid.size());
   for (double tokens : token_grid) {
-    if (tokens <= 0.0) {
-      return Status::InvalidArgument("token grid entries must be positive");
-    }
     out.push_back({tokens, pcc.value().EvalRunTime(tokens)});
   }
   return out;

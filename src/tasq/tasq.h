@@ -126,12 +126,14 @@ class Tasq {
                                             PowerLawPcc* out) const;
 
   /// Samples the predicted PCC at the given token counts (works for all
-  /// four model kinds, including XGBoost-SS).
+  /// four model kinds, including XGBoost-SS). Fails with InvalidArgument
+  /// on an empty grid or on any entry that is not finite and positive.
   TASQ_NODISCARD Result<std::vector<PccSample>> PredictCurve(
       const JobGraph& graph, ModelKind kind, double reference_tokens,
       const std::vector<double>& token_grid) const;
 
-  /// Point prediction of run time at `tokens`.
+  /// Point prediction of run time at `tokens`: PredictCurve on a grid of
+  /// one.
   TASQ_NODISCARD Result<double> PredictRuntime(const JobGraph& graph, ModelKind kind,
                                 double reference_tokens, double tokens) const;
 

@@ -307,6 +307,40 @@ TEST_F(TasqFixture, ScoringRejectsInvalidReferenceTokens) {
   }
 }
 
+TEST_F(TasqFixture, PredictCurveRejectsInvalidGridEntries) {
+  // Every grid entry is checked before a model sees it: XGBoost-SS's
+  // spline has no interval for a NaN, and a power law at 0, a negative or
+  // an infinite count has no finite run time.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const ObservedJob& entry = (*test_observed_)[0];
+  const std::vector<std::vector<double>> bad_grids = {
+      {kNan}, {kInf}, {0.0}, {-1.0}, {10.0, kNan}};
+  for (ModelKind kind : {ModelKind::kXgboostSs, ModelKind::kXgboostPl,
+                         ModelKind::kNn, ModelKind::kGnn}) {
+    SCOPED_TRACE(ModelKindName(kind));
+    for (const std::vector<double>& grid : bad_grids) {
+      EXPECT_EQ(pipeline_->PredictCurve(entry.job.graph, kind,
+                                        entry.observed_tokens, grid)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(pipeline_->PredictRuntime(entry.job.graph, kind,
+                                          entry.observed_tokens, grid.back())
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument);
+    }
+    Result<std::vector<PccSample>> curve = pipeline_->PredictCurve(
+        entry.job.graph, kind, entry.observed_tokens, {4.0, 16.0, 64.0});
+    ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+    ASSERT_EQ(curve.value().size(), 3u);
+    for (const PccSample& sample : curve.value()) {
+      EXPECT_TRUE(std::isfinite(sample.runtime_seconds));
+    }
+  }
+}
+
 TEST_F(TasqFixture, UntrainedPipelineFailsCleanly) {
   Tasq fresh;
   const JobGraph& graph = (*test_observed_)[0].job.graph;

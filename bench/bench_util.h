@@ -1,6 +1,7 @@
 #ifndef TASQ_BENCH_BENCH_UTIL_H_
 #define TASQ_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include "arepas/arepas.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "pcc/pcc.h"
 #include "selection/flighting.h"
 #include "tasq/dataset.h"
 #include "tasq/tasq.h"
@@ -28,8 +30,9 @@ struct BenchSizes {
   int64_t survey_jobs;   ///< For workload-level surveys (Fig 2, Fig 11).
   int64_t flight_jobs;   ///< Jobs flighted at multiple token counts.
 
-  static BenchSizes FromEnv() {
-    double scale = ScaleFromEnv();
+  static BenchSizes FromEnv() { return AtScale(ScaleFromEnv()); }
+
+  static BenchSizes AtScale(double scale) {
     auto scaled = [scale](double base) {
       return static_cast<int64_t>(base * scale);
     };
@@ -136,6 +139,102 @@ inline ArepasValidation RunArepasValidation(int64_t first_id, int64_t count,
     }
   }
   return validation;
+}
+
+/// One model's Table-8 metrics against flighted ground truth.
+struct FlightedModelEval {
+  /// Percent of jobs whose predicted curve is monotone non-increasing.
+  double pattern_percent = 0.0;
+  /// MAE of the scaled curve parameters against a power law fitted to each
+  /// job's flights; negative for XGBoost-SS (no parametric form).
+  double mae_params = -1.0;
+  /// Median absolute percent error of the run time at every flight.
+  double median_ae_runtime = 0.0;
+  /// The same error per flight position (100/80/60/20% of the reference
+  /// tokens), for positions any job reached.
+  std::vector<double> per_flight_ae;
+};
+
+/// Scores `kind` against `flighted`, where flighted[j] holds the flights
+/// of jobs[j] (FlightHarness::FlightJobs keeps the input order).
+inline FlightedModelEval EvaluateOnFlights(
+    const Tasq& pipeline, ModelKind kind,
+    const std::vector<FlightedJob>& flighted, const std::vector<Job>& jobs) {
+  if (flighted.size() != jobs.size()) {
+    std::fprintf(stderr, "every job must have been flighted\n");
+    std::exit(1);
+  }
+  const PccTargetScaling& scaling = *pipeline.target_scaling();
+  std::vector<double> predicted_runtimes;
+  std::vector<double> actual_runtimes;
+  std::vector<std::vector<double>> per_flight_pred(4);
+  std::vector<std::vector<double>> per_flight_actual(4);
+  std::vector<double> param_errors;
+  size_t monotone = 0;
+  size_t jobs_evaluated = 0;
+  for (size_t j = 0; j < flighted.size(); ++j) {
+    const FlightedJob& fj = flighted[j];
+    const Job& job = jobs[j];
+    double reference = fj.reference_tokens;
+    // Run-time predictions at every flighted token count.
+    for (size_t f = 0; f < fj.flights.size(); ++f) {
+      const FlightRecord& record = fj.flights[f];
+      Result<double> prediction = pipeline.PredictRuntime(
+          job.graph, kind, reference, record.tokens);
+      if (!prediction.ok()) continue;
+      predicted_runtimes.push_back(prediction.value());
+      actual_runtimes.push_back(record.runtime_seconds);
+      if (f < per_flight_pred.size()) {
+        per_flight_pred[f].push_back(prediction.value());
+        per_flight_actual[f].push_back(record.runtime_seconds);
+      }
+    }
+    ++jobs_evaluated;
+    // Pattern and curve parameters.
+    if (kind == ModelKind::kXgboostSs) {
+      std::vector<double> grid;
+      for (const FlightRecord& record : fj.flights) {
+        grid.push_back(record.tokens);
+      }
+      std::sort(grid.begin(), grid.end());
+      Result<std::vector<PccSample>> curve =
+          pipeline.PredictCurve(job.graph, kind, reference, grid);
+      if (curve.ok() && IsCurveMonotoneNonIncreasing(curve.value())) {
+        ++monotone;
+      }
+      continue;
+    }
+    Result<PowerLawPcc> predicted =
+        pipeline.PredictPcc(job.graph, kind, reference);
+    if (!predicted.ok()) continue;
+    if (predicted.value().IsMonotoneNonIncreasing()) ++monotone;
+    // Ground-truth curve parameters from the flighted runs.
+    std::vector<PccSample> truth_samples;
+    for (const FlightRecord& record : fj.flights) {
+      truth_samples.push_back({record.tokens, record.runtime_seconds});
+    }
+    Result<PowerLawFit> truth = FitPowerLaw(truth_samples);
+    if (!truth.ok()) continue;
+    auto [p1, p2] = scaling.ToScaled(predicted.value());
+    auto [t1, t2] = scaling.ToScaled(truth.value().pcc);
+    double signed_p1 = predicted.value().IsMonotoneNonIncreasing() ? p1 : -p1;
+    double signed_t1 = truth.value().pcc.IsMonotoneNonIncreasing() ? t1 : -t1;
+    param_errors.push_back(
+        0.5 * (std::fabs(signed_p1 - signed_t1) + std::fabs(p2 - t2)));
+  }
+  FlightedModelEval eval;
+  eval.pattern_percent =
+      100.0 * static_cast<double>(monotone) /
+      static_cast<double>(std::max<size_t>(1, jobs_evaluated));
+  eval.median_ae_runtime =
+      MedianAbsolutePercentError(predicted_runtimes, actual_runtimes);
+  if (!param_errors.empty()) eval.mae_params = Mean(param_errors);
+  for (size_t f = 0; f < per_flight_pred.size(); ++f) {
+    if (per_flight_pred[f].empty()) continue;
+    eval.per_flight_ae.push_back(
+        MedianAbsolutePercentError(per_flight_pred[f], per_flight_actual[f]));
+  }
+  return eval;
 }
 
 /// Minimal ordered JSON-object emitter for the BENCH_*.json perf

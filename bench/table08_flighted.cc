@@ -11,15 +11,6 @@
 #include "tasq/evaluation.h"
 
 namespace tasq {
-namespace {
-
-struct FlightEval {
-  double pattern_percent = 0.0;
-  double mae_params = -1.0;
-  double median_ae_runtime = 0.0;
-};
-
-}  // namespace
 
 int Main() {
   auto sizes = bench::BenchSizes::FromEnv();
@@ -41,9 +32,6 @@ int Main() {
   flight_config.seed = 808;
   FlightHarness harness(flight_config);
   std::vector<FlightedJob> flighted = harness.FlightJobs(test_jobs);
-  std::vector<const Job*> job_by_index;
-  for (const Job& job : test_jobs) job_by_index.push_back(&job);
-
   size_t total_runs = 0;
   size_t monotone_jobs = 0;
   for (const FlightedJob& job : flighted) {
@@ -56,85 +44,17 @@ int Main() {
               flight_config.monotone_tolerance_percent);
 
   // ---- Table 8: model accuracy on the flighted dataset -------------------
-  const PccTargetScaling& scaling = *pipeline.target_scaling();
   PrintBanner(std::cout, "Table 8: results on the flighted dataset");
   TextTable table({"Model", "Pattern (Non-Increase)", "MAE (Curve Params)",
                    "Median AE (Run Time)", "per-flight AE (100/80/60/20%)"});
   for (ModelKind kind : {ModelKind::kXgboostSs, ModelKind::kXgboostPl,
                          ModelKind::kNn, ModelKind::kGnn}) {
-    FlightEval eval;
-    std::vector<double> predicted_runtimes;
-    std::vector<double> actual_runtimes;
-    std::vector<std::vector<double>> per_flight_pred(4);
-    std::vector<std::vector<double>> per_flight_actual(4);
-    std::vector<double> param_errors;
-    size_t monotone = 0;
-    size_t jobs_evaluated = 0;
-    for (size_t j = 0; j < flighted.size(); ++j) {
-      const FlightedJob& fj = flighted[j];
-      const Job& job = *job_by_index[j];
-      double reference = fj.reference_tokens;
-      // Run-time predictions at every flighted token count.
-      for (size_t f = 0; f < fj.flights.size(); ++f) {
-        const FlightRecord& record = fj.flights[f];
-        Result<double> prediction = pipeline.PredictRuntime(
-            job.graph, kind, reference, record.tokens);
-        if (!prediction.ok()) continue;
-        predicted_runtimes.push_back(prediction.value());
-        actual_runtimes.push_back(record.runtime_seconds);
-        if (f < per_flight_pred.size()) {
-          per_flight_pred[f].push_back(prediction.value());
-          per_flight_actual[f].push_back(record.runtime_seconds);
-        }
-      }
-      ++jobs_evaluated;
-      // Pattern and curve parameters.
-      if (kind == ModelKind::kXgboostSs) {
-        std::vector<double> grid;
-        for (const FlightRecord& record : fj.flights) {
-          grid.push_back(record.tokens);
-        }
-        std::sort(grid.begin(), grid.end());
-        Result<std::vector<PccSample>> curve =
-            pipeline.PredictCurve(job.graph, kind, reference, grid);
-        if (curve.ok() && IsCurveMonotoneNonIncreasing(curve.value())) {
-          ++monotone;
-        }
-        continue;
-      }
-      Result<PowerLawPcc> predicted =
-          pipeline.PredictPcc(job.graph, kind, reference);
-      if (!predicted.ok()) continue;
-      if (predicted.value().IsMonotoneNonIncreasing()) ++monotone;
-      // Ground-truth curve parameters from the flighted runs.
-      std::vector<PccSample> truth_samples;
-      for (const FlightRecord& record : fj.flights) {
-        truth_samples.push_back({record.tokens, record.runtime_seconds});
-      }
-      Result<PowerLawFit> truth = FitPowerLaw(truth_samples);
-      if (!truth.ok()) continue;
-      auto [p1, p2] = scaling.ToScaled(predicted.value());
-      auto [t1, t2] = scaling.ToScaled(truth.value().pcc);
-      double signed_p1 =
-          predicted.value().IsMonotoneNonIncreasing() ? p1 : -p1;
-      double signed_t1 =
-          truth.value().pcc.IsMonotoneNonIncreasing() ? t1 : -t1;
-      param_errors.push_back(
-          0.5 * (std::fabs(signed_p1 - signed_t1) + std::fabs(p2 - t2)));
-    }
-    eval.pattern_percent = 100.0 * static_cast<double>(monotone) /
-                           static_cast<double>(std::max<size_t>(1, jobs_evaluated));
-    eval.median_ae_runtime =
-        MedianAbsolutePercentError(predicted_runtimes, actual_runtimes);
-    if (!param_errors.empty()) eval.mae_params = Mean(param_errors);
+    bench::FlightedModelEval eval =
+        bench::EvaluateOnFlights(pipeline, kind, flighted, test_jobs);
     std::string per_flight;
-    for (size_t f = 0; f < per_flight_pred.size(); ++f) {
-      if (per_flight_pred[f].empty()) continue;
+    for (double ae : eval.per_flight_ae) {
       if (!per_flight.empty()) per_flight += " / ";
-      per_flight += Cell(MedianAbsolutePercentError(per_flight_pred[f],
-                                                    per_flight_actual[f]),
-                         0) +
-                    "%";
+      per_flight += Cell(ae, 0) + "%";
     }
     table.AddRow({ModelKindName(kind), Cell(eval.pattern_percent, 0) + "%",
                   eval.mae_params >= 0.0 ? Cell(eval.mae_params, 3)
@@ -164,7 +84,7 @@ int Main() {
   for (size_t j = 0; j < flighted.size(); ++j) {
     const FlightedJob& fj = flighted[j];
     if (fj.flights.size() < 2) continue;
-    const Job& job = *job_by_index[j];
+    const Job& job = test_jobs[j];
     const FlightRecord& largest = fj.flights.front();
     auto predict = [&](double tokens) {
       return bench::Unwrap(

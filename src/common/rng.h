@@ -21,6 +21,8 @@ class Rng {
 
   /// Returns a child generator whose stream is a pure function of this
   /// generator's seed and `tag` (it does not consume entropy from `this`).
+  /// Each fork seeds a fresh 2.5 KB engine (about 2-3 µs), so fork per
+  /// job, flight or template, never per task or per draw.
   Rng Fork(uint64_t tag) const {
     // SplitMix64-style mixing of (seed, tag) into a child seed.
     uint64_t z = seed_ + 0x9E3779B97F4A7C15ULL * (tag + 1);

@@ -101,27 +101,28 @@ Result<RunResult> ClusterSimulator::Run(const JobPlan& plan,
     if (pending_deps[i] == 0) ready.push_back(static_cast<int>(i));
   }
 
+  // One stream per run: each task's draws in the order tasks start, then
+  // the usage draws. The run's noise is a pure function of its seed
+  // (distinct seeds model distinct flights), and a task pays for its draws
+  // only, not for seeding an engine of its own (see Rng::Fork).
   Rng rng(config.seed);
-  // Draws a task's effective duration. Each task's noise is an independent
-  // function of the run seed, so distinct seeds model distinct flights.
-  uint64_t task_counter = 0;
+  // Draws a task's effective duration.
   auto task_duration = [&](int stage) {
     double base = plan.stages[stage].task_duration_seconds;
     if (!config.noise.enabled) return base;
-    Rng task_rng = rng.Fork(task_counter++);
     double sigma = config.noise.duration_jitter_sigma;
     double duration = base;
     if (sigma > 0.0) {
       // Log-normal multiplier with mean 1.
-      duration *= task_rng.LogNormal(-sigma * sigma / 2.0, sigma);
+      duration *= rng.LogNormal(-sigma * sigma / 2.0, sigma);
     }
-    if (task_rng.Bernoulli(config.noise.straggler_probability)) {
+    if (rng.Bernoulli(config.noise.straggler_probability)) {
       duration *= config.noise.straggler_factor;
     }
-    if (task_rng.Bernoulli(config.noise.failure_probability)) {
+    if (rng.Bernoulli(config.noise.failure_probability)) {
       // The failed attempt holds the token for a fraction of the duration,
       // then the task reruns from scratch.
-      duration *= 1.0 + task_rng.Uniform(0.2, 0.8);
+      duration *= 1.0 + rng.Uniform(0.2, 0.8);
     }
     return duration;
   };
@@ -198,14 +199,12 @@ Result<RunResult> ClusterSimulator::Run(const JobPlan& plan,
     // Per-run usage-accounting noise: the recorded skyline scales without
     // the run time moving (idle token holding); rare gross outliers can
     // exceed the allocation, as errant production jobs do.
-    Rng usage_rng = rng.Fork(0xA11CA7E0ULL);
     double scale = 1.0;
     if (config.noise.usage_scale_sigma > 0.0) {
-      scale = usage_rng.LogNormal(0.0, config.noise.usage_scale_sigma);
+      scale = rng.LogNormal(0.0, config.noise.usage_scale_sigma);
     }
-    bool outlier =
-        usage_rng.Bernoulli(config.noise.usage_outlier_probability);
-    if (outlier) scale *= usage_rng.Uniform(1.5, 2.5);
+    bool outlier = rng.Bernoulli(config.noise.usage_outlier_probability);
+    if (outlier) scale *= rng.Uniform(1.5, 2.5);
     // num: float-eq exactly-1 scale is a pure no-op skip
     if (scale != 1.0) {
       std::vector<double> scaled = result.skyline.values();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/machine_stamp.h"
 
 namespace tasq {
 
@@ -87,6 +88,7 @@ inline int RunBenchmarksAndWriteJson(int argc, char** argv,
 
   bench::BenchJson json;
   json.SetString("bench", source);
+  bench::SetMachineStamp(json);
   for (const JsonCaptureReporter::Captured& captured : reporter.captured()) {
     std::string key = BenchKeySanitize(captured.name);
     json.Set(key + "_ns_per_op", captured.ns_per_op);

@@ -12,6 +12,7 @@
 
 #include "arbiter/allocation_arbiter.h"
 #include "bench/bench_util.h"
+#include "bench/machine_stamp.h"
 #include "simcluster/cluster_scheduler.h"
 
 namespace tasq {
@@ -66,6 +67,7 @@ int Main() {
   TextTable table({"Policy", "utilization", "Jain index", "p95 wait (s)",
                    "mean latency (s)", "liar's gain"});
   bench::BenchJson json;
+  bench::SetMachineStamp(json);
   json.Set("jobs", static_cast<uint64_t>(honest.size()));
   json.Set("tenants", kNumTenants);
   json.Set("pool_tokens", kClusterTokens);

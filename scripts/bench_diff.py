@@ -15,6 +15,12 @@ committed copies via `git show HEAD:<name>`; pass two directories to diff
 any pair of runs. Missing files and metrics are reported, not fatal
 (exit is nonzero only on operational errors such as unparseable JSON).
 
+Each file records the machine it was measured on (`cpus`, `isa_tier`,
+`compiler`; bench/machine_stamp.h). A speed-up or slow-down means
+something only on one machine, so when the two stamps differ, or either
+file has none, the file's diff prints "different machine" with both
+stamps and no metric rows.
+
 Metric direction matters for the verdict column: keys matching
 *_per_s / *_per_second / *_req_per_s count as higher-is-better; keys
 matching *_ns* / *_ms* / *_allocations* count as lower-is-better;
@@ -40,6 +46,8 @@ DEFAULT_NAMES = (
     "BENCH_fmath.json",
 )
 
+STAMP_KEYS = ("cpus", "isa_tier", "compiler")
+
 HIGHER_IS_BETTER = ("_per_s", "_per_second", "_req_per_s", "_items_per_s",
                     "_samples_per_s")
 LOWER_IS_BETTER = ("_ns", "_ms", "_allocations", "_ns_per_op", "_bytes")
@@ -61,6 +69,20 @@ def load_committed(repo_root, name):
     if blob.returncode != 0:
         return None
     return json.loads(blob.stdout)
+
+
+def machine(result):
+    """The file's machine stamp, or None when it lacks any field."""
+    if not all(key in result for key in STAMP_KEYS):
+        return None
+    return tuple(result[key] for key in STAMP_KEYS)
+
+
+def describe(stamp):
+    if stamp is None:
+        return "no stamp"
+    return ", ".join(f"{key}={value}"
+                     for key, value in zip(STAMP_KEYS, stamp))
 
 
 def direction(key):
@@ -115,6 +137,11 @@ def diff_one(name, base, fresh):
         for key, value in base.items():
             print(f"   {key:{width}s} {fmt(value):>14s} -> "
                   f"{'missing':>14s}")
+        return
+    base_machine, fresh_machine = machine(base), machine(fresh)
+    if base_machine is None or base_machine != fresh_machine:
+        print(f"   different machine: base ({describe(base_machine)}), "
+              f"fresh ({describe(fresh_machine)}); metrics not compared")
         return
     keys = list(base.keys()) + [k for k in fresh if k not in base]
     width = max((len(k) for k in keys), default=0)

@@ -2,13 +2,10 @@
 // against flighted ground truth (jobs re-executed at multiple token
 // counts), plus the W1/W2 token-savings vs slowdown trade-off.
 
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "pcc/pcc.h"
-#include "tasq/evaluation.h"
 
 namespace tasq {
 
@@ -32,6 +29,7 @@ int Main() {
   flight_config.seed = 808;
   FlightHarness harness(flight_config);
   std::vector<FlightedJob> flighted = harness.FlightJobs(test_jobs);
+
   size_t total_runs = 0;
   size_t monotone_jobs = 0;
   for (const FlightedJob& job : flighted) {

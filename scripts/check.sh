@@ -9,7 +9,7 @@
 #                         static-analysis job invokes this leg verbatim,
 #                         so the local and CI analyzer runs cannot drift.
 #   2. Release            build + full ctest
-#   3. ASan + UBSan       build + full ctest except PaperShapesTest
+#   3. ASan + UBSan       build + full ctest
 #   4. TSan               build + the concurrency-sensitive tests
 #   5. FPE traps          Release + TASQ_FPE=ON build + full ctest, so any
 #                         unguarded log(0), 0/0, exp overflow, or ordered
@@ -38,19 +38,20 @@ export LSAN_OPTIONS="suppressions=${REPO_ROOT}/scripts/sanitizers/lsan.supp:${LS
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1:suppressions=${REPO_ROOT}/scripts/sanitizers/ubsan.supp:${UBSAN_OPTIONS:-}"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=${REPO_ROOT}/scripts/sanitizers/tsan.supp:${TSAN_OPTIONS:-}"
 
-# $4 selects tests: empty for the full suite, or ctest arguments such as
-# "-R <regex>" or "-LE <label>" (word-split, so no spaces inside one).
 run_leg() {
-  local name="$1" dir="$2" sanitize="$3" test_filter="$4"
+  local name="$1" dir="$2" sanitize="$3" test_regex="$4"
   shift 4
   echo "== ${name}: configure + build (${dir}) =="
   cmake -B "${dir}" -S . -DTASQ_SANITIZE="${sanitize}" "$@" >/dev/null
   # Progress spam goes to /dev/null; warnings and errors arrive on stderr.
   cmake --build "${dir}" -j "${JOBS}" >/dev/null
   echo "== ${name}: ctest =="
-  # shellcheck disable=SC2086
-  ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" --timeout 120 \
-        ${test_filter}
+  if [[ -n "${test_regex}" ]]; then
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" \
+          --timeout 120 -R "${test_regex}"
+  else
+    ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}" --timeout 120
+  fi
 }
 
 # The vec set audits compiler output rather than source text, so the leg
@@ -81,11 +82,7 @@ for leg in "${LEGS[@]}"; do
   case "${leg}" in
     analyzers) analyzers_leg ;;
     release) run_leg "release" build-check-release "" "" ;;
-    # PaperShapesTest (label paper_shapes) trains the bench models and
-    # takes ~3 min under ASan, past the 120 s timeout; the release and
-    # fpe legs run it.
-    asan) run_leg "asan+ubsan" build-check-asan "address;undefined" \
-                  "-LE paper_shapes" ;;
+    asan) run_leg "asan+ubsan" build-check-asan "address;undefined" "" ;;
     # TSan's scheduler interleaving makes the full suite slow; the
     # concurrency-sensitive suites (ParallelFor*, ParallelStress*, the
     # cluster simulator/scheduler + arbiter property tests, the serving
@@ -93,7 +90,7 @@ for leg in "${LEGS[@]}"; do
     # primitives) are the ones a race can hide in. CI's tsan job runs
     # this leg, so the selection is written only here.
     tsan) run_leg "tsan" build-check-tsan "thread" \
-                  "-R Parallel|Cluster|Serve|Mutex|CondVar|Determinism|Arbiter|Sync" ;;
+                  "Parallel|Cluster|Serve|Mutex|CondVar|Determinism|Arbiter|Sync" ;;
     # Full suite with FE_DIVBYZERO/FE_INVALID/FE_OVERFLOW delivering
     # SIGFPE: a green run proves the fmath.h guards are exhaustive.
     fpe) run_leg "fpe-traps" build-check-fpe "" "" \

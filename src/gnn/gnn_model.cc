@@ -8,6 +8,85 @@
 
 namespace tasq {
 
+namespace {
+
+bool ShapesValid(const GraphExample& graph, size_t node_feature_dim) {
+  return graph.num_nodes > 0 &&
+         graph.node_features.size() == graph.num_nodes * node_feature_dim &&
+         graph.norm_adjacency.size() == graph.num_nodes * graph.num_nodes;
+}
+
+/// A batch of graphs joined into one block-diagonal graph: node rows are
+/// stacked in batch order, and graph g owns rows [offsets[g],
+/// offsets[g + 1]).
+struct GraphBatch {
+  std::vector<size_t> offsets;
+  std::shared_ptr<CsrMatrix> adjacency;
+  /// Input of the first graph layer: A·X for GCN, [X, A·X] for SAGE, or X
+  /// itself when there is no graph layer.
+  Matrix input;
+};
+
+/// Builds the batch's CSR adjacency from each graph's dense normalized
+/// adjacency (columns ascending, exact zeros dropped) and computes the
+/// first layer's input. No parameter touches A·X, so it is computed here,
+/// outside the autograd graph, and nothing of it outlives the batch.
+GraphBatch AssembleBatch(const GraphExample* const* graphs, size_t count,
+                         size_t dim, bool aggregate, bool sage) {
+  // num: float-eq an absent edge is an exact 0.0 and adds nothing
+  auto is_edge = [](double v) { return v != 0.0; };
+  GraphBatch batch;
+  batch.offsets.assign(1, 0);
+  size_t edges = 0;
+  for (size_t g = 0; g < count; ++g) {
+    const std::vector<double>& dense = graphs[g]->norm_adjacency;
+    batch.offsets.push_back(batch.offsets.back() + graphs[g]->num_nodes);
+    edges += static_cast<size_t>(
+        std::count_if(dense.begin(), dense.end(), is_edge));
+  }
+  size_t total = batch.offsets.back();
+  Matrix x(total, dim);
+  auto adjacency = std::make_shared<CsrMatrix>();
+  adjacency->rows = total;
+  adjacency->cols = total;
+  adjacency->row_begin.reserve(total + 1);
+  adjacency->col_index.reserve(edges);
+  adjacency->values.reserve(edges);
+  for (size_t g = 0; g < count; ++g) {
+    const GraphExample& graph = *graphs[g];
+    size_t base = batch.offsets[g];
+    size_t n = graph.num_nodes;
+    std::copy(graph.node_features.begin(), graph.node_features.end(),
+              x.Row(base));
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = graph.norm_adjacency.data() + i * n;
+      for (size_t j = 0; j < n; ++j) {
+        if (is_edge(row[j])) {
+          adjacency->col_index.push_back(base + j);
+          adjacency->values.push_back(row[j]);
+        }
+      }
+      adjacency->row_begin.push_back(adjacency->col_index.size());
+    }
+  }
+  if (!aggregate) {
+    batch.input = std::move(x);
+  } else if (!sage) {
+    batch.input = adjacency->MatMul(x);
+  } else {
+    Matrix ax = adjacency->MatMul(x);
+    batch.input = Matrix(total, 2 * dim);
+    for (size_t r = 0; r < total; ++r) {
+      std::copy_n(x.Row(r), dim, batch.input.Row(r));
+      std::copy_n(ax.Row(r), dim, batch.input.Row(r) + dim);
+    }
+  }
+  batch.adjacency = std::move(adjacency);
+  return batch;
+}
+
+}  // namespace
+
 GnnPccModel::GnnPccModel(size_t node_feature_dim, GnnOptions options)
     : node_feature_dim_(node_feature_dim), options_(std::move(options)) {
   Rng rng(options_.seed);
@@ -59,30 +138,34 @@ int64_t GnnPccModel::NumParameters() const {
   return CountParameters(AllParameters());
 }
 
-std::pair<Var, Var> GnnPccModel::Forward(const GraphExample& graph) const {
-  size_t n = graph.num_nodes;
-  Var adjacency = MakeConstant(
-      Matrix(n, n, graph.norm_adjacency));
-  Var h = MakeConstant(Matrix(n, node_feature_dim_, graph.node_features));
-  // Node-level embeddings: stacked graph layers.
+std::pair<Var, Var> GnnPccModel::Forward(const GraphExample* const* graphs,
+                                         size_t count) const {
+  bool sage = options_.aggregator == GnnAggregator::kSage;
+  GraphBatch batch = AssembleBatch(graphs, count, node_feature_dim_,
+                                   !gcn_weights_.empty(), sage);
+  const std::vector<size_t>& offsets = batch.offsets;
+  // Node-level embeddings: stacked graph layers over all the batch's nodes.
+  Var h = MakeConstant(std::move(batch.input));
   for (size_t l = 0; l < gcn_weights_.size(); ++l) {
-    Var aggregated = MatMul(adjacency, h);
-    Var input = options_.aggregator == GnnAggregator::kSage
-                    ? ConcatCols(h, aggregated)
-                    : aggregated;
+    Var input = h;
+    if (l > 0) {
+      Var aggregated = SparseMatMul(batch.adjacency, h);
+      input = sage ? ConcatCols(h, aggregated) : aggregated;
+    }
     h = Relu(Add(MatMul(input, gcn_weights_[l]), gcn_biases_[l]));
   }
-  Var graph_embedding;
+  Var graph_embedding;  // count x d.
   if (options_.attention_pooling) {
-    // Global context: nonlinear transform of the mean node embedding.
-    Var context =
-        Tanh(Add(MatMul(MeanRows(h), context_weight_), context_bias_));
-    // Attention weight per node: similarity to the context.
-    Var scores = Sigmoid(MatMul(h, Transpose(context)));  // N x 1.
-    // Graph embedding: attention-weighted sum of node embeddings.
-    graph_embedding = MatMul(Transpose(scores), h);  // 1 x d.
+    // Global context per graph: nonlinear transform of its mean node
+    // embedding.
+    Var context = Tanh(
+        Add(MatMul(SegmentMean(h, offsets), context_weight_), context_bias_));
+    // Attention weight per node: similarity to its graph's context.
+    Var scores = Sigmoid(SegmentRowDot(h, context, offsets));
+    // Graph embedding: attention-weighted sum of its node embeddings.
+    graph_embedding = SegmentWeightedSum(scores, h, offsets);
   } else {
-    graph_embedding = MeanRows(h);
+    graph_embedding = SegmentMean(h, offsets);
   }
   Var out = graph_embedding;
   for (size_t l = 0; l < head_weights_.size(); ++l) {
@@ -102,12 +185,8 @@ Result<double> GnnPccModel::Train(const std::vector<GraphExample>& graphs,
   if (graphs.size() != n) {
     return Status::InvalidArgument("one graph per supervision example");
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (graphs[i].num_nodes == 0 ||
-        graphs[i].node_features.size() !=
-            graphs[i].num_nodes * node_feature_dim_ ||
-        graphs[i].norm_adjacency.size() !=
-            graphs[i].num_nodes * graphs[i].num_nodes) {
+  for (const GraphExample& graph : graphs) {
+    if (!ShapesValid(graph, node_feature_dim_)) {
       return Status::InvalidArgument("graph example shapes are inconsistent");
     }
   }
@@ -118,23 +197,27 @@ Result<double> GnnPccModel::Train(const std::vector<GraphExample>& graphs,
   LossWeights weights = options_.override_weights
                             ? options_.weights
                             : DefaultLossWeights(options_.loss_form);
-  // One forward pass per graph; the batch loss is their mean.
+  // One forward pass over the batch's block-diagonal graph; the loss
+  // averages over its graphs, as the NN's does over its rows.
   auto batch_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
-    Var total;
-    for (size_t k = 0; k < count; ++k) {
-      size_t i = idx[k];
-      auto [p1, p2] = Forward(graphs[i]);
-      PccLossBatch loss_batch;
+    std::vector<const GraphExample*> batch(count);
+    PccLossBatch loss_batch;
+    loss_batch.scaled_targets.resize(2 * count);
+    loss_batch.observed_tokens.resize(count);
+    loss_batch.observed_runtime.resize(count);
+    if (needs_xgb) loss_batch.xgb_runtime.resize(count);
+    for (size_t r = 0; r < count; ++r) {
+      size_t i = idx[r];
+      batch[r] = &graphs[i];
       auto [t1, t2] = scaling_->ToScaled(supervision.targets[i]);
-      loss_batch.scaled_targets = {t1, t2};
-      loss_batch.observed_tokens = {supervision.observed_tokens[i]};
-      loss_batch.observed_runtime = {supervision.observed_runtime[i]};
-      if (needs_xgb) loss_batch.xgb_runtime = {supervision.xgb_runtime[i]};
-      Result<Var> loss = BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
-      if (!loss.ok()) return loss.status();
-      total = total ? Add(total, loss.value()) : loss.value();
+      loss_batch.scaled_targets[2 * r] = t1;
+      loss_batch.scaled_targets[2 * r + 1] = t2;
+      loss_batch.observed_tokens[r] = supervision.observed_tokens[i];
+      loss_batch.observed_runtime[r] = supervision.observed_runtime[i];
+      if (needs_xgb) loss_batch.xgb_runtime[r] = supervision.xgb_runtime[i];
     }
-    return ScalarMul(total, 1.0 / static_cast<double>(count));
+    auto [p1, p2] = Forward(batch.data(), count);
+    return BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
   };
   return TrainPccParameters(
       AllParameters(), n,
@@ -260,16 +343,30 @@ GnnPccModel GnnPccModel::Deserialize(TextArchiveReader& reader) {
 }
 
 Result<PowerLawPcc> GnnPccModel::Predict(const GraphExample& graph) const {
+  PowerLawPcc pcc;
+  Status status = PredictBatchInto(&graph, 1, &pcc);
+  if (!status.ok()) return status;
+  return pcc;
+}
+
+Status GnnPccModel::PredictBatchInto(const GraphExample* graphs, size_t count,
+                                     PowerLawPcc* out) const {
   if (!trained()) {
     return Status::FailedPrecondition("model has not been trained");
   }
-  if (graph.num_nodes == 0 ||
-      graph.node_features.size() != graph.num_nodes * node_feature_dim_ ||
-      graph.norm_adjacency.size() != graph.num_nodes * graph.num_nodes) {
-    return Status::InvalidArgument("graph example shapes are inconsistent");
+  std::vector<const GraphExample*> batch(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (!ShapesValid(graphs[i], node_feature_dim_)) {
+      return Status::InvalidArgument("graph example shapes are inconsistent");
+    }
+    batch[i] = &graphs[i];
   }
-  auto [p1, p2] = Forward(graph);
-  return scaling_->FromScaled(p1->value.At(0, 0), p2->value.At(0, 0));
+  if (count == 0) return Status::Ok();
+  auto [p1, p2] = Forward(batch.data(), count);
+  for (size_t i = 0; i < count; ++i) {
+    out[i] = scaling_->FromScaled(p1->value.At(i, 0), p2->value.At(i, 0));
+  }
+  return Status::Ok();
 }
 
 }  // namespace tasq

@@ -66,18 +66,30 @@ struct GnnOptions {
 /// node weighted by the sigmoid similarity to a learned nonlinear global
 /// context), and a fully connected head predicts the two scaled PCC
 /// parameters under the same sign-constrained mapping as the NN.
+///
+/// Training and scoring share one forward pass over a batch of graphs
+/// joined into one block-diagonal graph (DESIGN.md, "GNN"): each graph's
+/// result is bit-identical to a batch of that graph alone.
 class GnnPccModel {
  public:
   GnnPccModel(size_t node_feature_dim, GnnOptions options);
 
   /// Trains on one graph per supervision example through the NN's
-  /// TrainPccParameters (a mini-batch's loss is the mean of its per-graph
-  /// losses) and returns its loss.
+  /// TrainPccParameters, with one forward pass per mini-batch (its loss
+  /// is the PCC loss over the batch's graphs), and returns its loss.
   TASQ_NODISCARD Result<double> Train(const std::vector<GraphExample>& graphs,
                        const PccSupervision& supervision);
 
-  /// Predicts the (guaranteed monotone non-increasing) PCC for one graph.
+  /// Predicts the (guaranteed monotone non-increasing) PCC for one graph:
+  /// PredictBatchInto on a batch of one.
   TASQ_NODISCARD Result<PowerLawPcc> Predict(const GraphExample& graph) const;
+
+  /// Predicts the PCCs of graphs[0..count) into out[0..count) with one
+  /// forward pass; out[i] is bit-identical to Predict(graphs[i]). Fails
+  /// before training and on any graph whose shapes are inconsistent.
+  TASQ_NODISCARD Status PredictBatchInto(const GraphExample* graphs,
+                                         size_t count,
+                                         PowerLawPcc* out) const;
 
   /// Total trainable scalar parameters (Table 7).
   int64_t NumParameters() const;
@@ -95,8 +107,10 @@ class GnnPccModel {
   static GnnPccModel Deserialize(TextArchiveReader& reader);
 
  private:
-  /// Per-graph forward pass to the scaled (p1, p2) pair (each 1 x 1).
-  std::pair<Var, Var> Forward(const GraphExample& graph) const;
+  /// Forward pass over graphs[0..count) to the scaled (p1, p2) heads,
+  /// each count x 1. Shapes must already be validated.
+  std::pair<Var, Var> Forward(const GraphExample* const* graphs,
+                              size_t count) const;
   std::vector<Var> AllParameters() const;
 
   size_t node_feature_dim_;

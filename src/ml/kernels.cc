@@ -125,4 +125,50 @@ void MatMulAccum(double* __restrict out, const double* __restrict a,
   }
 }
 
+void MatMulAccumTransA(double* __restrict out, const double* __restrict a,
+                       const double* __restrict b, size_t rows, size_t inner,
+                       size_t cols) {
+  // k-outer with k unrolled by 4: row k of `a` holds column k of aᵀ, so
+  // each pass reads four rows of `a` and of `b` and updates every output
+  // row with the same dependent chain as MatMulAccum (bit-identical).
+  size_t k4 = inner - inner % 4;
+  size_t k = 0;
+  for (; k < k4; k += 4) {
+    const double* a0 = a + k * rows;
+    const double* a1 = a0 + rows;
+    const double* a2 = a1 + rows;
+    const double* a3 = a2 + rows;
+    const double* b0 = b + k * cols;
+    const double* b1 = b0 + cols;
+    const double* b2 = b1 + cols;
+    const double* b3 = b2 + cols;
+    for (size_t i = 0; i < rows; ++i) {
+      const double c0 = a0[i];
+      const double c1 = a1[i];
+      const double c2 = a2[i];
+      const double c3 = a3[i];
+      double* orow = out + i * cols;
+      TASQ_VEC
+      for (size_t j = 0; j < cols; ++j) {
+        double v = orow[j];
+        v += c0 * b0[j];
+        v += c1 * b1[j];
+        v += c2 * b2[j];
+        v += c3 * b3[j];
+        orow[j] = v;
+      }
+    }
+  }
+  for (; k < inner; ++k) {
+    const double* arow = a + k * rows;
+    const double* brow = b + k * cols;
+    for (size_t i = 0; i < rows; ++i) {
+      const double ak = arow[i];
+      double* orow = out + i * cols;
+      TASQ_VEC
+      for (size_t j = 0; j < cols; ++j) orow[j] += ak * brow[j];
+    }
+  }
+}
+
 }  // namespace tasq

@@ -75,6 +75,18 @@ void MatMulAccum(double* __restrict out, const double* __restrict a,
                  const double* __restrict b, size_t rows, size_t inner,
                  size_t cols);
 
+/// out += aᵀ * b, where `a` is stored row-major as inner x rows (so aᵀ is
+/// rows x inner), `b` is inner x cols and `out` is rows x cols: the weight
+/// gradient of a matrix product, without a transposed copy of `a`. The
+/// loop is k-outer, so `out` (a weight-sized block) stays in cache while
+/// `a` and `b` stream past once. Each output element accumulates in the
+/// order k = 0, 1, ..., inner-1, exactly as MatMulAccum does on an
+/// explicit transposed copy of `a`, so the two are bit-identical. Spans
+/// must not alias.
+void MatMulAccumTransA(double* __restrict out, const double* __restrict a,
+                       const double* __restrict b, size_t rows, size_t inner,
+                       size_t cols);
+
 }  // namespace tasq
 
 #endif  // TASQ_ML_KERNELS_H_

@@ -77,4 +77,31 @@ double Matrix::Sum() const {
   return VecSum(data_.data(), data_.size());
 }
 
+Matrix CsrMatrix::MatMul(const Matrix& dense) const {
+  TASQ_CHECK_EQ(cols, dense.rows());
+  TASQ_CHECK_EQ(row_begin.size(), rows + 1);
+  size_t width = dense.cols();
+  Matrix out(rows, width);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t e = row_begin[r]; e < row_begin[r + 1]; ++e) {
+      VecAddScaledInPlace(out.Row(r), dense.Row(col_index[e]), values[e],
+                          width);
+    }
+  }
+  return out;
+}
+
+void CsrMatrix::TransposedMatMulAccum(const Matrix& dense, Matrix& out) const {
+  TASQ_CHECK_EQ(rows, dense.rows());
+  TASQ_CHECK_EQ(cols, out.rows());
+  TASQ_CHECK_EQ(dense.cols(), out.cols());
+  size_t width = dense.cols();
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t e = row_begin[r]; e < row_begin[r + 1]; ++e) {
+      VecAddScaledInPlace(out.Row(col_index[e]), dense.Row(r), values[e],
+                          width);
+    }
+  }
+}
+
 }  // namespace tasq

@@ -111,6 +111,29 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// A sparse matrix in compressed sparse row form: row r holds the entries
+/// (col_index[e], values[e]) for e in [row_begin[r], row_begin[r + 1]),
+/// with columns ascending. The GNN stores a mini-batch's block-diagonal
+/// normalized adjacency this way (gnn/gnn_model.cc).
+struct CsrMatrix {
+  size_t rows = 0;
+  size_t cols = 0;
+  /// rows + 1 offsets into col_index / values.
+  std::vector<size_t> row_begin = {0};
+  std::vector<size_t> col_index;
+  std::vector<double> values;
+
+  /// Returns this * dense. Each output element adds its row's products in
+  /// ascending column order, starting from zero: the order Matrix::MatMul
+  /// uses on the dense matrix, minus the exact-zero entries, which add
+  /// nothing. So a CSR of a dense matrix's non-zeros reproduces the dense
+  /// product bit for bit on finite operands.
+  Matrix MatMul(const Matrix& dense) const;
+
+  /// out += thisᵀ * dense (a scatter over the stored entries).
+  void TransposedMatMulAccum(const Matrix& dense, Matrix& out) const;
+};
+
 }  // namespace tasq
 
 #endif  // TASQ_ML_MATRIX_H_

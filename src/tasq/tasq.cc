@@ -52,15 +52,15 @@ struct Tasq::Impl {
 
   // GNN only: the full featurization, with the operator matrix
   // standardized (the GNN never reads the job-level vector).
-  TASQ_NODISCARD Result<PowerLawPcc> PredictGnn(const JobGraph& graph) const {
+  TASQ_NODISCARD Status GnnExample(const JobGraph& graph,
+                                   GraphExample& example) const {
     Result<JobFeatures> features = featurizer.Featurize(graph);
     if (!features.ok()) return features.status();
     scalers->op_scaler.TransformMatrix(features.value().op_matrix);
-    GraphExample example;
     example.num_nodes = features.value().num_operators;
     example.node_features = std::move(features.value().op_matrix);
     example.norm_adjacency = std::move(features.value().norm_adjacency);
-    return gnn->Predict(example);
+    return Status::Ok();
   }
 };
 
@@ -449,16 +449,19 @@ Status Tasq::PredictPccBatchInto(const JobGraph* const* graphs, size_t count,
       return impl_->nn->PredictBatchInto(scratch.rows.data(), count,
                                          scratch.nn, out);
     }
-    case ModelKind::kGnn:
+    case ModelKind::kGnn: {
       if (impl_->gnn == nullptr) {
         return Status::FailedPrecondition("GNN model was not trained");
       }
+      // One forward pass over the batch's graphs; each result equals a
+      // batch of one.
+      std::vector<GraphExample> examples(count);
       for (size_t i = 0; i < count; ++i) {
-        Result<PowerLawPcc> pcc = impl_->PredictGnn(*graphs[i]);
-        if (!pcc.ok()) return pcc.status();
-        out[i] = pcc.value();
+        Status featurized = impl_->GnnExample(*graphs[i], examples[i]);
+        if (!featurized.ok()) return featurized;
       }
-      return Status::Ok();
+      return impl_->gnn->PredictBatchInto(examples.data(), count, out);
+    }
   }
   return Status::Internal("unknown model kind");
 }

@@ -112,13 +112,14 @@ class Tasq {
   /// graphs[i] / reference_tokens[i] (each of length `count`). NN and
   /// XGBoost-PL read only the standardized job-level row; the full
   /// operator matrix and adjacency are built for the GNN alone. The NN
-  /// runs the whole batch through a single forward pass, bit-identical
-  /// per row to a batch of one, and reuses `scratch` so a serving loop
-  /// that recycles one scratch performs the whole featurize-and-predict
-  /// NN path without heap allocation once warm — HotPathTest's cold-submit
-  /// allocation budget rests on this. Fails for XGBoost-SS (no parametric
-  /// form), on any reference token count ValidateReferenceTokens rejects,
-  /// and on the first graph that fails to featurize.
+  /// and the GNN each run the whole batch through a single forward pass,
+  /// bit-identical per job to a batch of one. The NN reuses `scratch`, so
+  /// a serving loop that recycles one scratch performs the whole
+  /// featurize-and-predict NN path without heap allocation once warm —
+  /// HotPathTest's cold-submit allocation budget rests on this. Fails for
+  /// XGBoost-SS (no parametric form), on any reference token count
+  /// ValidateReferenceTokens rejects, and on the first graph that fails
+  /// to featurize.
   TASQ_NODISCARD Status PredictPccBatchInto(const JobGraph* const* graphs,
                                             size_t count, ModelKind kind,
                                             const double* reference_tokens,

@@ -93,6 +93,15 @@ Status JobGraph::Validate() const {
     if (node.stage < 0) {
       return Status::InvalidArgument("operator stage must be non-negative");
     }
+    const OperatorFeatures& f = node.features;
+    for (double value :
+         {f.output_cardinality, f.leaf_input_cardinality,
+          f.children_input_cardinality, f.average_row_length, f.cost_subtree,
+          f.cost_exclusive, f.cost_total}) {
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument("operator features must be finite");
+      }
+    }
   }
   return Status::Ok();
 }

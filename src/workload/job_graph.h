@@ -66,7 +66,9 @@ struct JobGraph {
   /// operators in place without allocating (tasq_check.py hot).
   TASQ_HOT uint64_t Fingerprint() const;
 
-  /// Checks ids are dense/ordered and inputs reference earlier operators.
+  /// Checks ids are dense/ordered, inputs reference earlier operators,
+  /// and every continuous operator feature is finite (a NaN or infinite
+  /// estimate has no meaningful log-scaled feature).
   TASQ_NODISCARD Status Validate() const;
 };
 

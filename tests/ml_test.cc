@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "ml/autograd.h"
@@ -122,7 +124,7 @@ TEST(AutogradTest, GradCheckSoftplusAbsExp) {
   CheckGradients(y, [&](const Var& v) { return Mean(Abs(v)); });
 }
 
-TEST(AutogradTest, GradCheckMulSubTransposeMeanRows) {
+TEST(AutogradTest, GradCheckMulSub) {
   Rng rng(4);
   Matrix x(3, 3);
   for (double& v : x.data()) v = rng.Uniform(-1.0, 1.0);
@@ -130,29 +132,115 @@ TEST(AutogradTest, GradCheckMulSubTransposeMeanRows) {
   for (double& v : other.data()) v = rng.Uniform(-1.0, 1.0);
   Var constant = MakeConstant(other);
   CheckGradients(x, [&](const Var& v) {
-    return Sum(Mul(Sub(v, constant), Transpose(v)));
-  });
-  CheckGradients(x, [&](const Var& v) {
-    return Sum(MeanRows(Relu(v)));
+    return Sum(Mul(Sub(v, constant), v));
   });
 }
 
+Matrix RandomUniform(size_t rows, size_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  for (double& v : m.data()) v = rng.Uniform(-1.0, 1.0);
+  return m;
+}
+
 TEST(AutogradTest, GradCheckAttentionPattern) {
-  // The full SimGNN-style pooling expression the GNN model uses.
+  // The SimGNN-style segment pooling the GNN model runs, over a batch of
+  // two graphs of different sizes (3 and 2 nodes).
   Rng rng(5);
-  size_t n = 4;
+  const std::vector<size_t> offsets = {0, 3, 5};
   size_t d = 3;
-  Matrix h(n, d);
-  for (double& v : h.data()) v = rng.Uniform(-1.0, 1.0);
-  Var hidden = MakeConstant(h);
-  Matrix wc(d, d);
-  for (double& v : wc.data()) v = rng.Uniform(-1.0, 1.0);
+  Matrix h = RandomUniform(5, d, rng);
+  Matrix wc = RandomUniform(d, d, rng);
+  auto pool = [&](const Var& hidden, const Var& w) {
+    Var context = Tanh(MatMul(SegmentMean(hidden, offsets), w));
+    Var scores = Sigmoid(SegmentRowDot(hidden, context, offsets));
+    return Mean(SegmentWeightedSum(scores, hidden, offsets));
+  };
   CheckGradients(wc, [&](const Var& w) {
-    Var context = Tanh(MatMul(MeanRows(hidden), w));
-    Var scores = Sigmoid(MatMul(hidden, Transpose(context)));
-    Var pooled = MatMul(Transpose(scores), hidden);
-    return Mean(pooled);
+    return pool(MakeConstant(h), w);
   });
+  CheckGradients(h, [&](const Var& hidden) {
+    return pool(hidden, MakeConstant(wc));
+  });
+}
+
+// Segments of unequal size, one of them a single row.
+const std::vector<size_t> kSegments = {0, 3, 4, 6};
+
+TEST(AutogradTest, GradCheckSegmentMean) {
+  Rng rng(21);
+  Matrix x = RandomUniform(6, 3, rng);
+  CheckGradients(x, [&](const Var& v) {
+    return Sum(Tanh(SegmentMean(v, kSegments)));
+  });
+}
+
+TEST(AutogradTest, GradCheckSegmentRowDot) {
+  Rng rng(22);
+  Matrix a = RandomUniform(6, 3, rng);
+  Matrix b = RandomUniform(3, 3, rng);
+  CheckGradients(a, [&](const Var& v) {
+    return Sum(Tanh(SegmentRowDot(v, MakeConstant(b), kSegments)));
+  });
+  CheckGradients(b, [&](const Var& v) {
+    return Sum(Tanh(SegmentRowDot(MakeConstant(a), v, kSegments)));
+  });
+}
+
+TEST(AutogradTest, GradCheckSegmentWeightedSum) {
+  Rng rng(23);
+  Matrix w = RandomUniform(6, 1, rng);
+  Matrix a = RandomUniform(6, 2, rng);
+  CheckGradients(w, [&](const Var& v) {
+    return Sum(Tanh(SegmentWeightedSum(v, MakeConstant(a), kSegments)));
+  });
+  CheckGradients(a, [&](const Var& v) {
+    return Sum(Tanh(SegmentWeightedSum(MakeConstant(w), v, kSegments)));
+  });
+}
+
+// A 5 x 4 CSR with an empty row and unequal row lengths.
+std::shared_ptr<CsrMatrix> SmallCsr() {
+  auto csr = std::make_shared<CsrMatrix>();
+  csr->rows = 5;
+  csr->cols = 4;
+  csr->row_begin = {0, 2, 2, 5, 6, 7};
+  csr->col_index = {0, 3, 0, 1, 2, 2, 3};
+  csr->values = {0.5, -1.25, 0.75, 2.0, -0.5, 1.5, 0.25};
+  return csr;
+}
+
+Matrix DenseOf(const CsrMatrix& csr) {
+  Matrix dense(csr.rows, csr.cols);
+  for (size_t r = 0; r < csr.rows; ++r) {
+    for (size_t e = csr.row_begin[r]; e < csr.row_begin[r + 1]; ++e) {
+      dense.At(r, csr.col_index[e]) = csr.values[e];
+    }
+  }
+  return dense;
+}
+
+TEST(AutogradTest, GradCheckSparseMatMul) {
+  Rng rng(25);
+  std::shared_ptr<const CsrMatrix> csr = SmallCsr();
+  Matrix b = RandomUniform(4, 3, rng);
+  CheckGradients(b, [&](const Var& v) {
+    return Sum(Tanh(SparseMatMul(csr, v)));
+  });
+}
+
+TEST(AutogradTest, BackwardSkipsNodesWithoutAParameter) {
+  Var x = MakeConstant(Matrix(2, 2, {1.0, 2.0, 3.0, 4.0}));
+  Var w = MakeParameter(Matrix(2, 1, {0.5, -0.5}));
+  Var hidden = Tanh(x);
+  Var loss = Sum(MatMul(hidden, w));
+  EXPECT_FALSE(hidden->needs_grad);
+  EXPECT_TRUE(loss->needs_grad);
+  Backward(loss);
+  // The constant branch got no gradient buffer; the weight got x's rows.
+  EXPECT_EQ(x->grad.size(), 0u);
+  EXPECT_EQ(hidden->grad.size(), 0u);
+  EXPECT_DOUBLE_EQ(w->grad.At(0, 0), std::tanh(1.0) + std::tanh(3.0));
+  EXPECT_DOUBLE_EQ(w->grad.At(1, 0), std::tanh(2.0) + std::tanh(4.0));
 }
 
 TEST(AutogradTest, ConcatColsForwardLayout) {
@@ -386,6 +474,55 @@ TEST(MatrixKernelTest, BiasReluFusionBitIdenticalToUnfusedOps) {
   for (size_t i = 0; i < 9; ++i) {
     double v = o.data()[i] + bias.data()[i];
     EXPECT_EQ(fused.data()[i], v > 0.0 ? v : 0.0);
+  }
+}
+
+TEST(MatrixKernelTest, MatMulAccumTransABitIdenticalToTransposedCopy) {
+  Rng rng(29);
+  // Inner dims hit the k-unrolled body and its remainder (not multiples
+  // of 4); column counts are not multiples of any vector width.
+  const size_t shapes[][3] = {
+      {1, 1, 1}, {3, 5, 7}, {5, 13, 9}, {8, 6, 11}, {2, 3, 17}, {7, 9, 3},
+  };
+  for (const auto& shape : shapes) {
+    size_t rows = shape[0];
+    size_t inner = shape[1];
+    size_t cols = shape[2];
+    Matrix a = RandomMatrix(inner, rows, rng, 0.2);  // aᵀ is rows x inner.
+    Matrix b = RandomMatrix(inner, cols, rng, 0.0);
+    Matrix start = RandomMatrix(rows, cols, rng, 0.0);
+    Matrix got = start;
+    MatMulAccumTransA(got.data().data(), a.data().data(), b.data().data(),
+                      rows, inner, cols);
+    Matrix want = start;
+    Matrix at = a.Transposed();
+    MatMulAccum(want.data().data(), at.data().data(), b.data().data(), rows,
+                inner, cols);
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got.data()[i], want.data()[i])
+          << rows << "x" << inner << "*" << cols << " elem " << i;
+    }
+  }
+}
+
+TEST(MatrixKernelTest, CsrMatMulBitIdenticalToDenseMatMul) {
+  Rng rng(31);
+  std::shared_ptr<CsrMatrix> csr = SmallCsr();
+  Matrix b = RandomMatrix(4, 9, rng, 0.0);
+  Matrix got = csr->MatMul(b);
+  Matrix want = DenseOf(*csr).MatMul(b);
+  ASSERT_TRUE(got.SameShape(want));
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << "elem " << i;
+  }
+  // The transposed product scatters into the same values as the dense
+  // transpose, up to summation order.
+  Matrix g = RandomMatrix(5, 9, rng, 0.0);
+  Matrix scattered(4, 9);
+  csr->TransposedMatMulAccum(g, scattered);
+  Matrix dense_t = DenseOf(*csr).Transposed().MatMul(g);
+  for (size_t i = 0; i < scattered.size(); ++i) {
+    EXPECT_NEAR(scattered.data()[i], dense_t.data()[i], 1e-12);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "tasq/dataset.h"
@@ -166,6 +167,43 @@ TEST_F(TasqFixture, AllModelsTrainAndPredict) {
       graph, ModelKind::kXgboostSs, reference, {reference * 0.8, reference});
   ASSERT_TRUE(curve.ok());
   EXPECT_EQ(curve.value().size(), 2u);
+}
+
+TEST_F(TasqFixture, GnnBatchPredictionMatchesOneAtATime) {
+  // Graphs of different sizes, plus a single-operator job: the batch's
+  // segment offsets and CSR column shifts must leave every graph's
+  // prediction as a batch of one computes it.
+  JobGraph single;
+  single.operators.resize(1);
+  single.operators[0].features.output_cardinality = 1000.0;
+  single.operators[0].features.cost_total = 12.0;
+  std::vector<const JobGraph*> graphs;
+  std::vector<double> tokens;
+  for (size_t i = 0; i < 6; ++i) {
+    graphs.push_back(&(*test_observed_)[i * 7].job.graph);
+    tokens.push_back(50.0);
+  }
+  graphs.insert(graphs.begin() + 3, &single);
+  tokens.push_back(50.0);
+  std::set<size_t> sizes;
+  for (const JobGraph* graph : graphs) sizes.insert(graph->operators.size());
+  ASSERT_GE(sizes.size(), 5u);
+  ASSERT_EQ(*sizes.begin(), 1u);
+
+  TasqBatchScratch scratch;
+  std::vector<PowerLawPcc> batch(graphs.size());
+  ASSERT_TRUE(pipeline_
+                  ->PredictPccBatchInto(graphs.data(), graphs.size(),
+                                        ModelKind::kGnn, tokens.data(),
+                                        scratch, batch.data())
+                  .ok());
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    Result<PowerLawPcc> one =
+        pipeline_->PredictPcc(*graphs[i], ModelKind::kGnn, tokens[i]);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(batch[i].a, one.value().a) << "graph " << i;
+    EXPECT_EQ(batch[i].b, one.value().b) << "graph " << i;
+  }
 }
 
 TEST_F(TasqFixture, NnAndGnnAlwaysMonotoneOnTestSet) {

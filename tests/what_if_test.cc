@@ -135,6 +135,33 @@ TEST_F(WhatIfFixture, ValidatesInput) {
   EXPECT_EQ(small.value().curve.size(), 3u);
 }
 
+TEST_F(WhatIfFixture, RejectsNonFiniteOperatorFeatures) {
+  // A NaN or infinite estimate has no meaningful log-scaled feature: every
+  // model kind rejects the job instead of reporting a finite curve.
+  Job job = generator_->GenerateJob(904);
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double OperatorFeatures::*field :
+       {&OperatorFeatures::output_cardinality,
+        &OperatorFeatures::leaf_input_cardinality,
+        &OperatorFeatures::children_input_cardinality,
+        &OperatorFeatures::average_row_length,
+        &OperatorFeatures::cost_subtree, &OperatorFeatures::cost_exclusive,
+        &OperatorFeatures::cost_total}) {
+    for (double bad : {std::nan(""), kInf, -kInf}) {
+      JobGraph graph = job.graph;
+      graph.operators[0].features.*field = bad;
+      EXPECT_EQ(graph.Validate().code(), StatusCode::kInvalidArgument);
+      for (ModelKind model : {ModelKind::kNn, ModelKind::kGnn,
+                              ModelKind::kXgboostPl, ModelKind::kXgboostSs}) {
+        Result<WhatIfReport> report = BuildWhatIfReport(
+            *pipeline_, graph, model, job.default_tokens);
+        ASSERT_FALSE(report.ok()) << ModelKindName(model) << " " << bad;
+        EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+}
+
 TEST(FeatureImportanceTest, HighlightsInformativeFeature) {
   // y depends only on feature 0; importance must concentrate there.
   Rng rng(2);

@@ -6,6 +6,24 @@
 #include "common/fmath.h"
 
 namespace tasq {
+namespace {
+
+// A scoring call needs a trained model, a `feature_dim` row, finite tokens > 0.
+Status CheckInput(const GbdtRegressor& model, size_t feature_dim,
+                  const std::vector<double>& job_features, double tokens) {
+  if (!model.trained()) {
+    return Status::FailedPrecondition("model has not been trained");
+  }
+  // isfinite first: an ordered comparison on NaN traps under TASQ_FPE.
+  if (job_features.size() != feature_dim || !std::isfinite(tokens) ||
+      tokens <= 0.0) {
+    return Status::InvalidArgument(
+        "feature dimension mismatch or tokens not finite and positive");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 XgbRuntimeModel::XgbRuntimeModel(XgbPccOptions options)
     : options_(std::move(options)), model_(options_.gbdt) {}
@@ -64,13 +82,8 @@ XgbRuntimeModel XgbRuntimeModel::Deserialize(TextArchiveReader& reader) {
 
 Result<double> XgbRuntimeModel::PredictRuntime(
     const std::vector<double>& job_features, double tokens) const {
-  if (!model_.trained()) {
-    return Status::FailedPrecondition("model has not been trained");
-  }
-  if (job_features.size() != feature_dim_ || tokens <= 0.0) {
-    return Status::InvalidArgument(
-        "feature dimension mismatch or non-positive tokens");
-  }
+  Status valid = CheckInput(model_, feature_dim_, job_features, tokens);
+  if (!valid.ok()) return valid;
   std::vector<double> row(job_features);
   row.push_back(CheckedLog1p(tokens));
   return model_.Predict(row);
@@ -78,48 +91,52 @@ Result<double> XgbRuntimeModel::PredictRuntime(
 
 Result<std::vector<PccSample>> XgbRuntimeModel::PredictCurve(
     const std::vector<double>& job_features, double reference_tokens) const {
-  if (reference_tokens <= 0.0) {
-    return Status::InvalidArgument("reference tokens must be positive");
-  }
+  Status valid =
+      CheckInput(model_, feature_dim_, job_features, reference_tokens);
+  if (!valid.ok()) return valid;
   double lo = std::max(1.0, reference_tokens * (1.0 - options_.window_fraction));
   double hi = reference_tokens * (1.0 + options_.window_fraction);
+  // Every point lies between lo >= 1 and hi, so hi alone needs checking.
+  if (!std::isfinite(hi) || hi <= 0.0) {
+    return Status::InvalidArgument("token window is not finite and positive");
+  }
   size_t points = std::max<size_t>(3, options_.grid_points);
+  std::vector<double> row(feature_dim_ + 1);
+  std::copy(job_features.begin(), job_features.end(), row.begin());
   std::vector<PccSample> curve;
   curve.reserve(points);
   for (size_t i = 0; i < points; ++i) {
     double tokens =
         lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    Result<double> runtime = PredictRuntime(job_features, tokens);
-    if (!runtime.ok()) return runtime.status();
-    curve.push_back({tokens, runtime.value()});
+    row[feature_dim_] = CheckedLog1p(tokens);
+    curve.push_back({tokens, model_.Predict(row)});
   }
   return curve;
 }
 
-Result<std::vector<PccSample>> XgbRuntimeModel::PredictSmoothedCurve(
+Result<SmoothingSpline> XgbRuntimeModel::PredictSmoothedCurve(
     const std::vector<double>& job_features, double reference_tokens) const {
   Result<std::vector<PccSample>> raw =
       PredictCurve(job_features, reference_tokens);
   if (!raw.ok()) return raw.status();
   std::vector<double> x;
   std::vector<double> y;
+  x.reserve(raw.value().size());
+  y.reserve(raw.value().size());
   for (const PccSample& s : raw.value()) {
-    // Quantile-threshold trees can predict identical values on adjacent
-    // grid points; spline knots must strictly increase, so collapse ties
-    // in x (tokens are distinct by construction, this is belt and braces).
+    // Spline knots must strictly increase. Window tokens do by
+    // construction; collapsing ties only guards a degenerate window.
     if (!x.empty() && s.tokens <= x.back()) continue;
     x.push_back(s.tokens);
     y.push_back(s.runtime_seconds);
   }
-  Result<SmoothingSpline> spline =
+  Result<SmoothingSpline> smoothing =
       SmoothingSpline::Fit(x, y, options_.spline_lambda);
-  if (!spline.ok()) return spline.status();
-  std::vector<PccSample> smoothed;
-  smoothed.reserve(x.size());
-  for (double tokens : x) {
-    smoothed.push_back({tokens, spline.value().Eval(tokens)});
-  }
-  return smoothed;
+  if (!smoothing.ok()) return smoothing.status();
+  // In exact arithmetic the interpolating refit is the smoothing spline
+  // itself; in floating point it is not, and SS answers keep its bits.
+  for (size_t i = 0; i < x.size(); ++i) y[i] = smoothing.value().Eval(x[i]);
+  return SmoothingSpline::Fit(x, y, 0.0);
 }
 
 Result<PowerLawPcc> XgbRuntimeModel::PredictPowerLawPcc(

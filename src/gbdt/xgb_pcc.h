@@ -45,8 +45,10 @@ class XgbRuntimeModel {
   TASQ_NODISCARD Result<std::vector<PccSample>> PredictCurve(
       const std::vector<double>& job_features, double reference_tokens) const;
 
-  /// XGBoost SS: point predictions passed through a cubic smoothing spline.
-  TASQ_NODISCARD Result<std::vector<PccSample>> PredictSmoothedCurve(
+  /// XGBoost SS: the window's point predictions through a cubic smoothing
+  /// spline, interpolated (lambda = 0) through the smoothed knots so every
+  /// SS consumer evaluates this one spline. Its knots are the window.
+  TASQ_NODISCARD Result<SmoothingSpline> PredictSmoothedCurve(
       const std::vector<double>& job_features, double reference_tokens) const;
 
   /// XGBoost PL: a power law refit to the point predictions.
@@ -54,10 +56,7 @@ class XgbRuntimeModel {
       const std::vector<double>& job_features, double reference_tokens) const;
 
   bool trained() const { return model_.trained(); }
-  size_t feature_dim() const { return feature_dim_; }
-  const XgbPccOptions& options() const { return options_; }
-  /// The underlying boosted-tree ensemble (e.g., for feature importance).
-  /// Feature index `feature_dim()` is the appended token feature.
+  /// The trees (e.g., for feature importance); the last feature is tokens.
   const GbdtRegressor& gbdt() const { return model_; }
 
   /// Serializes the trained runtime model and its curve-construction

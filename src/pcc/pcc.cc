@@ -159,18 +159,6 @@ bool IsCurveMonotoneNonIncreasing(std::vector<PccSample> samples,
   return true;
 }
 
-std::vector<PccSample> FilterAroundReference(
-    const std::vector<PccSample>& samples, double reference_tokens,
-    double window_fraction) {
-  std::vector<PccSample> filtered;
-  double lo = reference_tokens * (1.0 - window_fraction);
-  double hi = reference_tokens * (1.0 + window_fraction);
-  for (const PccSample& s : samples) {
-    if (s.tokens >= lo && s.tokens <= hi) filtered.push_back(s);
-  }
-  return filtered;
-}
-
 Result<double> OptimalTokensFromSamples(const std::vector<PccSample>& samples,
                                         double min_improvement_percent) {
   if (min_improvement_percent <= 0.0) {

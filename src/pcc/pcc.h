@@ -76,13 +76,6 @@ TASQ_NODISCARD Result<PowerLawFit> FitPowerLaw(const std::vector<PccSample>& sam
 bool IsCurveMonotoneNonIncreasing(std::vector<PccSample> samples,
                                   double tolerance_percent = 0.0);
 
-/// Restricts samples to tokens within ±`window_fraction` of
-/// `reference_tokens` — the paper evaluates XGBoost-SS monotonicity within
-/// ±40% of the reference token count.
-std::vector<PccSample> FilterAroundReference(
-    const std::vector<PccSample>& samples, double reference_tokens,
-    double window_fraction);
-
 /// Numeric counterpart of PowerLawPcc::OptimalTokens for *sampled* curves
 /// (e.g., the XGBoost-SS spline): walking down from the largest sampled
 /// token count, returns the smallest allocation at which giving up the
@@ -119,8 +112,8 @@ class SmoothingSpline {
   /// Evaluates the fitted spline at `x`.
   double Eval(double x) const;
 
-  /// Fitted values at the knots.
-  const std::vector<double>& fitted_values() const { return f_; }
+  /// The knots: the fitted x values.
+  const std::vector<double>& knots() const { return x_; }
 
  private:
   SmoothingSpline(std::vector<double> x, std::vector<double> f,

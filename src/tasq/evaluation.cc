@@ -97,10 +97,14 @@ Result<ModelEvalMetrics> EvaluateModel(const Tasq& tasq, ModelKind kind,
   std::vector<double> param_errors;
   for (size_t i = 0; i < test.size(); ++i) {
     if (kind == ModelKind::kXgboostSs) {
-      Result<std::vector<PccSample>> curve = tasq.xgb()->PredictSmoothedCurve(
+      Result<SmoothingSpline> spline = tasq.xgb()->PredictSmoothedCurve(
           ScaledRow(tasq, test, i), test.observed_tokens[i]);
-      if (!curve.ok()) return curve.status();
-      if (IsCurveMonotoneNonIncreasing(curve.value())) ++monotone;
+      if (!spline.ok()) return spline.status();
+      std::vector<PccSample> knots;
+      for (double tokens : spline.value().knots()) {
+        knots.push_back({tokens, spline.value().Eval(tokens)});
+      }
+      if (IsCurveMonotoneNonIncreasing(knots)) ++monotone;
       continue;  // No parametric curve for SS.
     }
     PowerLawPcc predicted;

@@ -238,6 +238,22 @@ Result<PowerLawPcc> Tasq::PredictPcc(const JobGraph& graph, ModelKind kind,
   return pcc;
 }
 
+Result<SmoothingSpline> Tasq::PredictSmoothedCurve(
+    const JobGraph& graph, double reference_tokens) const {
+  if (!impl_->trained) {
+    return Status::FailedPrecondition("pipeline has not been trained");
+  }
+  Status valid = ValidateReferenceTokens(reference_tokens);
+  if (!valid.ok()) return valid;
+  if (impl_->xgb == nullptr) {
+    return Status::FailedPrecondition("XGBoost model was not trained");
+  }
+  std::vector<double> row(Featurizer::kJobFeatureDim);
+  Status featurized = impl_->ScaledJobRow(graph, row.data());
+  if (!featurized.ok()) return featurized;
+  return impl_->xgb->PredictSmoothedCurve(row, reference_tokens);
+}
+
 Result<std::vector<PccSample>> Tasq::PredictCurve(
     const JobGraph& graph, ModelKind kind, double reference_tokens,
     const std::vector<double>& token_grid) const {
@@ -258,28 +274,12 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
           "token grid entries must be finite and positive");
     }
   }
+  std::vector<PccSample> out;
+  out.reserve(token_grid.size());
   if (kind == ModelKind::kXgboostSs) {
-    if (impl_->xgb == nullptr) {
-      return Status::FailedPrecondition("XGBoost model was not trained");
-    }
-    std::vector<double> row(Featurizer::kJobFeatureDim);
-    Status featurized = impl_->ScaledJobRow(graph, row.data());
-    if (!featurized.ok()) return featurized;
-    // Smooth over the model's reference window, then evaluate at the grid
-    // by fitting the spline directly to the smoothed knots.
-    Result<std::vector<PccSample>> smoothed =
-        impl_->xgb->PredictSmoothedCurve(row, reference_tokens);
-    if (!smoothed.ok()) return smoothed.status();
-    std::vector<double> x;
-    std::vector<double> y;
-    for (const PccSample& s : smoothed.value()) {
-      x.push_back(s.tokens);
-      y.push_back(s.runtime_seconds);
-    }
-    Result<SmoothingSpline> spline = SmoothingSpline::Fit(x, y, 0.0);
+    Result<SmoothingSpline> spline =
+        PredictSmoothedCurve(graph, reference_tokens);
     if (!spline.ok()) return spline.status();
-    std::vector<PccSample> out;
-    out.reserve(token_grid.size());
     for (double tokens : token_grid) {
       out.push_back({tokens, spline.value().Eval(tokens)});
     }
@@ -287,8 +287,6 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
   }
   Result<PowerLawPcc> pcc = PredictPcc(graph, kind, reference_tokens);
   if (!pcc.ok()) return pcc.status();
-  std::vector<PccSample> out;
-  out.reserve(token_grid.size());
   for (double tokens : token_grid) {
     out.push_back({tokens, pcc.value().EvalRunTime(tokens)});
   }
@@ -315,51 +313,11 @@ Result<TokenRecommendation> Tasq::RecommendTokens(
         "improvement and slowdown bounds must be finite");
   }
   if (kind == ModelKind::kXgboostSs) {
-    // No parametric curve: run the discrete diminishing-returns walk over
-    // the smoothed curve sampled down to 20% of the reference.
-    double lo = std::max(1.0, reference_tokens * 0.2);
-    std::vector<double> grid;
-    for (int i = 0; i < 17; ++i) {
-      grid.push_back(lo + (reference_tokens - lo) * i / 16.0);
-    }
-    Result<std::vector<PccSample>> curve =
-        PredictCurve(graph, kind, reference_tokens, grid);
-    if (!curve.ok()) return curve.status();
-    Result<double> tokens =
-        OptimalTokensFromSamples(curve.value(), min_improvement_percent);
-    if (!tokens.ok()) return tokens.status();
-    double chosen = tokens.value();
-    if (max_slowdown_fraction >= 0.0) {
-      // Descend the sampled curve (sorted ascending in tokens) from the
-      // reference: the smallest allocation that still clears the marginal
-      // threshold AND keeps runtime within the user's slowdown bound wins;
-      // the first violation stops the walk.
-      double allowed = curve.value().back().runtime_seconds *
-                       (1.0 + max_slowdown_fraction);
-      double best = reference_tokens;
-      for (auto it = curve.value().rbegin(); it != curve.value().rend();
-           ++it) {
-        if (it->runtime_seconds > allowed || it->tokens + 1e-9 < chosen) {
-          break;
-        }
-        best = it->tokens;
-      }
-      chosen = best;
-    }
-    TokenRecommendation recommendation;
-    recommendation.tokens = std::round(chosen);
-    Result<double> at_recommended = PredictRuntime(
-        graph, kind, reference_tokens, recommendation.tokens);
-    Result<double> at_reference =
-        PredictRuntime(graph, kind, reference_tokens, reference_tokens);
-    if (!at_recommended.ok()) return at_recommended.status();
-    if (!at_reference.ok()) return at_reference.status();
-    recommendation.predicted_runtime_seconds = at_recommended.value();
-    recommendation.predicted_slowdown =
-        at_reference.value() > 0.0
-            ? at_recommended.value() / at_reference.value() - 1.0
-            : 0.0;
-    return recommendation;
+    Result<SmoothingSpline> spline =
+        PredictSmoothedCurve(graph, reference_tokens);
+    if (!spline.ok()) return spline.status();
+    return RecommendFromSpline(spline.value(), reference_tokens,
+                               min_improvement_percent, max_slowdown_fraction);
   }
   Result<PowerLawPcc> pcc = PredictPcc(graph, kind, reference_tokens);
   if (!pcc.ok()) return pcc.status();
@@ -381,6 +339,48 @@ TokenRecommendation RecommendFromPowerLaw(const PowerLawPcc& pcc,
   recommendation.predicted_runtime_seconds =
       pcc.EvalRunTime(recommendation.tokens);
   double reference_runtime = pcc.EvalRunTime(reference_tokens);
+  recommendation.predicted_slowdown =
+      reference_runtime > 0.0
+          ? recommendation.predicted_runtime_seconds / reference_runtime - 1.0
+          : 0.0;
+  return recommendation;
+}
+
+Result<TokenRecommendation> RecommendFromSpline(
+    const SmoothingSpline& spline, double reference_tokens,
+    double min_improvement_percent, double max_slowdown_fraction) {
+  double lo = std::max(1.0, reference_tokens * 0.2);
+  std::vector<PccSample> curve;
+  curve.reserve(17);
+  for (int i = 0; i < 17; ++i) {
+    double tokens = lo + (reference_tokens - lo) * i / 16.0;
+    curve.push_back({tokens, spline.Eval(tokens)});
+  }
+  Result<double> tokens =
+      OptimalTokensFromSamples(curve, min_improvement_percent);
+  if (!tokens.ok()) return tokens.status();
+  double chosen = tokens.value();
+  if (max_slowdown_fraction >= 0.0) {
+    // Descend the sampled curve (sorted ascending in tokens) from the
+    // reference: the smallest allocation that still clears the marginal
+    // threshold AND keeps runtime within the user's slowdown bound wins;
+    // the first violation stops the walk.
+    double allowed =
+        curve.back().runtime_seconds * (1.0 + max_slowdown_fraction);
+    double best = reference_tokens;
+    for (auto it = curve.rbegin(); it != curve.rend(); ++it) {
+      if (it->runtime_seconds > allowed || it->tokens + 1e-9 < chosen) {
+        break;
+      }
+      best = it->tokens;
+    }
+    chosen = best;
+  }
+  TokenRecommendation recommendation;
+  recommendation.tokens = std::round(chosen);
+  recommendation.predicted_runtime_seconds =
+      spline.Eval(recommendation.tokens);
+  double reference_runtime = spline.Eval(reference_tokens);
   recommendation.predicted_slowdown =
       reference_runtime > 0.0
           ? recommendation.predicted_runtime_seconds / reference_runtime - 1.0

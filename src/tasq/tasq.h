@@ -81,13 +81,12 @@ struct TasqBatchScratch {
 ///
 /// Thread-safety contract: once trained (or loaded), a Tasq is immutable —
 /// every const scoring method (PredictPcc / PredictPccBatchInto /
-/// PredictCurve / PredictRuntime / RecommendTokens, and BuildWhatIfReport
-/// on top of them) touches no mutable or lazily-initialized state and is
-/// safe to call from any number of threads concurrently on the same
-/// instance. The
-/// serving layer (serve/server.h) relies on this to share one pipeline
-/// across its worker threads. Train / Save / Load and moves are NOT safe to
-/// run concurrently with scoring.
+/// PredictSmoothedCurve / PredictCurve / PredictRuntime / RecommendTokens,
+/// and BuildWhatIfReport on top of them) touches no mutable or
+/// lazily-initialized state and is safe to call from any number of threads
+/// concurrently on the same instance. The serving layer (serve/server.h)
+/// relies on this to share one pipeline across its worker threads. Train /
+/// Save / Load and moves are NOT safe to run concurrently with scoring.
 class Tasq {
  public:
   explicit Tasq(TasqOptions options = {});
@@ -102,8 +101,7 @@ class Tasq {
   /// batch of one through PredictPccBatchInto. `reference_tokens` is the
   /// submitted/default token count — required for the XGBoost variants,
   /// whose curves are local to a reference window. XGBoost-SS has no
-  /// parametric form, so only sampled-curve prediction is offered for it
-  /// (see PredictCurve).
+  /// parametric form; its curve is a spline (see PredictSmoothedCurve).
   TASQ_NODISCARD Result<PowerLawPcc> PredictPcc(const JobGraph& graph, ModelKind kind,
                                  double reference_tokens) const;
 
@@ -126,6 +124,11 @@ class Tasq {
                                             TasqBatchScratch& scratch,
                                             PowerLawPcc* out) const;
 
+  /// XGBoost-SS's curve: one featurization, then the spline of
+  /// XgbRuntimeModel::PredictSmoothedCurve that every SS answer evaluates.
+  TASQ_NODISCARD Result<SmoothingSpline> PredictSmoothedCurve(
+      const JobGraph& graph, double reference_tokens) const;
+
   /// Samples the predicted PCC at the given token counts (works for all
   /// four model kinds, including XGBoost-SS). Fails with InvalidArgument
   /// on an empty grid or on any entry that is not finite and positive.
@@ -144,7 +147,7 @@ class Tasq {
   /// recommendation additionally honors the user's performance constraint:
   /// the predicted run time never exceeds (1 + max_slowdown_fraction) times
   /// the predicted run time at the reference allocation. Both bounds must
-  /// be finite.
+  /// be finite. XGBoost-SS walks its one spline (RecommendFromSpline).
   TASQ_NODISCARD Result<TokenRecommendation> RecommendTokens(
       const JobGraph& graph, ModelKind kind, double reference_tokens,
       double min_improvement_percent = 1.0,
@@ -185,6 +188,13 @@ TokenRecommendation RecommendFromPowerLaw(const PowerLawPcc& pcc,
                                           double reference_tokens,
                                           double min_improvement_percent,
                                           double max_slowdown_fraction);
+
+/// RecommendFromPowerLaw for XGBoost-SS's spline: OptimalTokensFromSamples
+/// over 17 samples from 20% of the reference up to it, then the slowdown
+/// bound. Identical to RecommendTokens given Tasq::PredictSmoothedCurve.
+TASQ_NODISCARD Result<TokenRecommendation> RecommendFromSpline(
+    const SmoothingSpline& spline, double reference_tokens,
+    double min_improvement_percent, double max_slowdown_fraction);
 
 }  // namespace tasq
 

@@ -1,9 +1,9 @@
 #include "tasq/what_if.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "pcc/pcc.h"
 
@@ -22,17 +22,46 @@ WhatIfPoint MakePoint(double tokens, double runtime, double reference_tokens,
   return point;
 }
 
-/// The sampling grid every report uses: `points` counts evenly spaced from
-/// 20% of the reference (floored at 1 token) up to the reference itself.
-std::vector<double> ReportGrid(double reference_tokens, size_t points) {
+/// The one report assembly, behind both builders: the predicted curve on
+/// `grid_points` (at least 3) evenly spaced counts from 20% of the
+/// reference (floored at 1 token) up to the reference itself, its elbow,
+/// and the two recommendations. `runtime_at(tokens)` reads the predicted
+/// curve; `recommend(slo)` gives the recommendation at the 1%-per-token
+/// bar, or the error that fails the report.
+template <typename RuntimeAt, typename Recommend>
+Result<WhatIfReport> AssembleReport(WhatIfReport report, size_t grid_points,
+                                    RuntimeAt runtime_at, Recommend recommend) {
+  grid_points = std::max<size_t>(3, grid_points);
+  double reference_tokens = report.reference_tokens;
   double lo = std::max(1.0, reference_tokens * 0.2);
-  std::vector<double> grid;
-  grid.reserve(points);
-  for (size_t i = 0; i < points; ++i) {
-    grid.push_back(lo + (reference_tokens - lo) * static_cast<double>(i) /
-                            static_cast<double>(points - 1));
+  std::vector<PccSample> curve;
+  curve.reserve(grid_points);
+  for (size_t i = 0; i < grid_points; ++i) {
+    double tokens = lo + (reference_tokens - lo) * static_cast<double>(i) /
+                             static_cast<double>(grid_points - 1);
+    curve.push_back({tokens, runtime_at(tokens)});
   }
-  return grid;
+  double reference_runtime = curve.back().runtime_seconds;
+  report.curve.reserve(curve.size());
+  for (const PccSample& sample : curve) {
+    report.curve.push_back(MakePoint(sample.tokens, sample.runtime_seconds,
+                                     reference_tokens, reference_runtime));
+  }
+  Result<double> elbow = FindElbowTokens(std::move(curve));
+  if (elbow.ok()) report.elbow_tokens = elbow.value();
+
+  for (auto [slo, out] : {std::pair{-1.0, &report.aggressive},
+                          std::pair{0.10, &report.bounded}}) {
+    Result<TokenRecommendation> recommendation = recommend(slo);
+    if (!recommendation.ok()) return recommendation.status();
+    *out = MakePoint(recommendation.value().tokens,
+                     recommendation.value().predicted_runtime_seconds,
+                     reference_tokens, reference_runtime);
+    // Slowdown is against the recommender's own run time at the
+    // reference, which the last grid point need not hit exactly.
+    out->predicted_slowdown = recommendation.value().predicted_slowdown;
+  }
+  return report;
 }
 
 }  // namespace
@@ -53,7 +82,6 @@ Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,
                                        size_t grid_points) {
   Status valid = ValidateWhatIfRequest(reference_tokens, grid_points);
   if (!valid.ok()) return valid;
-  grid_points = std::max<size_t>(3, grid_points);
 
   if (model != ModelKind::kXgboostSs) {
     // Parametric models: one inference, then pure math. This is also the
@@ -64,39 +92,19 @@ Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,
                                     grid_points);
   }
 
-  // XGBoost-SS: no parametric form, so the curve and both recommendations
-  // each come from the smoothed point-prediction path.
+  // XGBoost-SS: no parametric form, so one spline plays the PCC's part.
+  Result<SmoothingSpline> spline =
+      tasq.PredictSmoothedCurve(graph, reference_tokens);
+  if (!spline.ok()) return spline.status();
   WhatIfReport report;
   report.model = model;
   report.reference_tokens = reference_tokens;
-  std::vector<double> grid = ReportGrid(reference_tokens, grid_points);
-  Result<std::vector<PccSample>> curve =
-      tasq.PredictCurve(graph, model, reference_tokens, grid);
-  if (!curve.ok()) return curve.status();
-  double reference_runtime = curve.value().back().runtime_seconds;
-  for (const PccSample& sample : curve.value()) {
-    report.curve.push_back(MakePoint(sample.tokens, sample.runtime_seconds,
-                                     reference_tokens, reference_runtime));
-  }
-  Result<double> elbow = FindElbowTokens(curve.value());
-  if (elbow.ok()) report.elbow_tokens = elbow.value();
-
-  auto fill_recommendation = [&](double slo, WhatIfPoint& out) -> Status {
-    Result<TokenRecommendation> recommendation =
-        tasq.RecommendTokens(graph, model, reference_tokens, 1.0, slo);
-    if (!recommendation.ok()) return recommendation.status();
-    out = MakePoint(recommendation.value().tokens,
-                    recommendation.value().predicted_runtime_seconds,
-                    reference_tokens, reference_runtime);
-    // Slowdown comes from the recommendation's own curve evaluation.
-    out.predicted_slowdown = recommendation.value().predicted_slowdown;
-    return Status::Ok();
-  };
-  Status aggressive = fill_recommendation(-1.0, report.aggressive);
-  if (!aggressive.ok()) return aggressive;
-  Status bounded = fill_recommendation(0.10, report.bounded);
-  if (!bounded.ok()) return bounded;
-  return report;
+  return AssembleReport(
+      std::move(report), grid_points,
+      [&](double tokens) { return spline.value().Eval(tokens); },
+      [&](double slo) {
+        return RecommendFromSpline(spline.value(), reference_tokens, 1.0, slo);
+      });
 }
 
 Result<WhatIfReport> BuildWhatIfReportFromPcc(const PowerLawPcc& pcc,
@@ -109,38 +117,17 @@ Result<WhatIfReport> BuildWhatIfReportFromPcc(const PowerLawPcc& pcc,
     return Status::InvalidArgument(
         "XGBoost SS has no parametric PCC; use BuildWhatIfReport");
   }
-  grid_points = std::max<size_t>(3, grid_points);
   WhatIfReport report;
   report.model = model;
   report.reference_tokens = reference_tokens;
   report.pcc = pcc;
   report.has_pcc = true;
-
-  std::vector<PccSample> curve;
-  curve.reserve(grid_points);
-  for (double tokens : ReportGrid(reference_tokens, grid_points)) {
-    curve.push_back({tokens, pcc.EvalRunTime(tokens)});
-  }
-  double reference_runtime = curve.back().runtime_seconds;
-  report.curve.reserve(curve.size());
-  for (const PccSample& sample : curve) {
-    report.curve.push_back(MakePoint(sample.tokens, sample.runtime_seconds,
-                                     reference_tokens, reference_runtime));
-  }
-  Result<double> elbow = FindElbowTokens(curve);
-  if (elbow.ok()) report.elbow_tokens = elbow.value();
-
-  auto fill_recommendation = [&](double slo, WhatIfPoint& out) {
-    TokenRecommendation recommendation =
-        RecommendFromPowerLaw(pcc, reference_tokens, 1.0, slo);
-    out = MakePoint(recommendation.tokens,
-                    recommendation.predicted_runtime_seconds,
-                    reference_tokens, reference_runtime);
-    out.predicted_slowdown = recommendation.predicted_slowdown;
-  };
-  fill_recommendation(-1.0, report.aggressive);
-  fill_recommendation(0.10, report.bounded);
-  return report;
+  return AssembleReport(
+      std::move(report), grid_points,
+      [&](double tokens) { return pcc.EvalRunTime(tokens); },
+      [&](double slo) {
+        return RecommendFromPowerLaw(pcc, reference_tokens, 1.0, slo);
+      });
 }
 
 std::string WhatIfReport::ToText() const {

@@ -59,9 +59,10 @@ TASQ_NODISCARD Status ValidateWhatIfRequest(double reference_tokens,
 
 /// Builds a what-if report for an unseen job from a trained pipeline.
 /// `grid_points` controls curve resolution (3 to kMaxWhatIfGridPoints;
-/// smaller values are raised to 3). For parametric models
-/// the job is featurized and scored exactly once; the curve, elbow, and
-/// both recommendations all derive from that single predicted PCC.
+/// smaller values are raised to 3). The job is featurized and scored
+/// exactly once: the curve, elbow, and both recommendations derive from
+/// that single predicted PCC, or XGBoost-SS's single spline, and equal
+/// Tasq::PredictCurve and Tasq::RecommendTokens to the bit.
 TASQ_NODISCARD Result<WhatIfReport> BuildWhatIfReport(const Tasq& tasq, const JobGraph& graph,
                                        ModelKind model,
                                        double reference_tokens,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -209,12 +210,12 @@ TEST(XgbRuntimeModelTest, SmoothedCurveIsFiniteAndOrdered) {
   ASSERT_TRUE(model.Train(data.features, data.n, 2, data.tokens,
                           data.runtimes)
                   .ok());
-  Result<std::vector<PccSample>> curve =
-      model.PredictSmoothedCurve({0.4, 0.6}, 40.0);
+  Result<SmoothingSpline> curve = model.PredictSmoothedCurve({0.4, 0.6}, 40.0);
   ASSERT_TRUE(curve.ok());
-  for (size_t i = 1; i < curve.value().size(); ++i) {
-    EXPECT_GT(curve.value()[i].tokens, curve.value()[i - 1].tokens);
-    EXPECT_TRUE(std::isfinite(curve.value()[i].runtime_seconds));
+  const std::vector<double>& knots = curve.value().knots();
+  for (size_t i = 1; i < knots.size(); ++i) {
+    EXPECT_GT(knots[i], knots[i - 1]);
+    EXPECT_TRUE(std::isfinite(curve.value().Eval(knots[i])));
   }
 }
 
@@ -228,6 +229,28 @@ TEST(XgbRuntimeModelTest, ValidatesInput) {
   EXPECT_FALSE(model.PredictRuntime({1.0}, 10.0).ok());   // Wrong dim.
   EXPECT_FALSE(model.PredictRuntime({1.0, 2.0}, 0.0).ok());  // Bad tokens.
   EXPECT_FALSE(model.PredictCurve({1.0, 2.0}, -5.0).ok());
+  // Non-finite tokens and references are rejected before any ordered
+  // comparison or log1p sees them, and so is a window reaching below 0.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> row = {1.0, 2.0};
+  for (double bad : {std::nan(""), kInf, -kInf}) {
+    EXPECT_EQ(model.PredictRuntime(row, bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(model.PredictCurve(row, bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(model.PredictSmoothedCurve(row, bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(model.PredictPowerLawPcc(row, bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  XgbPccOptions negative_window;
+  negative_window.window_fraction = -2.0;
+  XgbRuntimeModel inverted(negative_window);
+  ASSERT_TRUE(
+      inverted.Train(data.features, data.n, 2, data.tokens, data.runtimes)
+          .ok());
+  EXPECT_EQ(inverted.PredictCurve(row, 10.0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

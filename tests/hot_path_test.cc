@@ -14,6 +14,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -351,6 +352,67 @@ TEST_F(HotPathTest, FastPathHitsCountIntoServerStats) {
   EXPECT_EQ(stats.end_to_end.count, primed.end_to_end.count + 10);
   EXPECT_LE(stats.end_to_end.p50_ms(), stats.end_to_end.p99_ms());
   EXPECT_LE(stats.end_to_end.p99_ms(), stats.end_to_end.max_ms);
+}
+
+// ---- XGBoost report budgets ----------------------------------------------
+
+// XGBoost-SS has no parametric form, so its report builds one spline per
+// request (one featurization, one window prediction from one reused row)
+// and evaluates it for the curve and both recommendations; XGBoost-PL
+// shares the window step. The budgets sit near twice the measured ~33 (SS)
+// and ~16 (PL) allocations per report; one curve rebuilt per evaluation
+// costs ~413 and ~35.
+class XgbHotPathTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    WorkloadConfig config;
+    config.seed = 47;
+    generator_ = new WorkloadGenerator(config);
+    NoiseModel noise;
+    noise.enabled = true;
+    auto observed =
+        ObserveWorkload(generator_->Generate(0, 60), noise, 1).value();
+    TasqOptions options;
+    options.train_nn = false;  // Only XGBoost serves in this suite.
+    options.train_gnn = false;
+    pipeline_ = new Tasq(options);
+    ASSERT_TRUE(pipeline_->Train(observed).ok());
+  }
+  static void TearDownTestSuite() {
+    delete pipeline_;
+    delete generator_;
+    pipeline_ = nullptr;
+    generator_ = nullptr;
+  }
+
+  static Tasq* pipeline_;
+  static WorkloadGenerator* generator_;
+};
+
+Tasq* XgbHotPathTest::pipeline_ = nullptr;
+WorkloadGenerator* XgbHotPathTest::generator_ = nullptr;
+
+TEST_F(XgbHotPathTest, XgboostReportsStayWithinAllocationBudget) {
+  constexpr int kJobs = 50;
+  std::vector<Job> jobs = generator_->Generate(900, kJobs);
+  for (auto [model, budget] : {std::pair{ModelKind::kXgboostSs, 64.0},
+                               std::pair{ModelKind::kXgboostPl, 24.0}}) {
+    uint64_t before = tasq_test::AllocationCount();
+    // No gtest assertions inside the measured loop: EXPECT_* may allocate.
+    bool all_ok = true;
+    for (const Job& job : jobs) {
+      all_ok &= BuildWhatIfReport(*pipeline_, job.graph, model,
+                                  job.default_tokens, 9)
+                    .ok();
+    }
+    double per_report =
+        static_cast<double>(tasq_test::AllocationCount() - before) / kJobs;
+    EXPECT_TRUE(all_ok) << ModelKindName(model);
+    EXPECT_LE(per_report, budget)
+        << ModelKindName(model) << " what-if report exceeded its allocation "
+        << "budget: " << per_report << " allocations/report over " << kJobs
+        << " unseen jobs (budget: " << budget << ")";
+  }
 }
 
 }  // namespace

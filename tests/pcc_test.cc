@@ -163,18 +163,6 @@ TEST(MonotoneCheckTest, SortsByTokensFirst) {
   EXPECT_TRUE(IsCurveMonotoneNonIncreasing(samples));
 }
 
-TEST(FilterAroundReferenceTest, KeepsWindow) {
-  std::vector<PccSample> samples;
-  for (double t = 10.0; t <= 200.0; t += 10.0) samples.push_back({t, 1.0});
-  auto filtered = FilterAroundReference(samples, 100.0, 0.4);
-  ASSERT_FALSE(filtered.empty());
-  for (const auto& s : filtered) {
-    EXPECT_GE(s.tokens, 60.0);
-    EXPECT_LE(s.tokens, 140.0);
-  }
-  EXPECT_EQ(filtered.size(), 9u);  // 60..140 step 10.
-}
-
 TEST(OptimalTokensFromSamplesTest, AgreesWithParametricAnswer) {
   // On a densely sampled power law, the discrete walk lands near the
   // closed-form threshold A* = |a| * 100 / p.

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gbdt/gbdt.h"
 #include "tasq/what_if.h"
@@ -64,6 +67,46 @@ TEST_F(WhatIfFixture, ReportIsInternallyConsistent) {
     EXPECT_GE(r.aggressive.tokens, 1.0);
     EXPECT_LE(r.aggressive.tokens, job.default_tokens);
     EXPECT_GE(r.bounded.tokens + 1e-9, r.aggressive.tokens);
+  }
+}
+
+TEST_F(WhatIfFixture, ReportMatchesCurveAndRecommendationEntryPoints) {
+  // A report is the same curve and the same two recommendations the
+  // pipeline's own entry points give, to the bit, for every model kind:
+  // XGBoost-SS's spline and a parametric PCC each feed one assembly.
+  for (int64_t id : {905, 906, 907}) {
+    Job job = generator_->GenerateJob(id);
+    for (ModelKind model : {ModelKind::kNn, ModelKind::kGnn,
+                            ModelKind::kXgboostPl, ModelKind::kXgboostSs}) {
+      SCOPED_TRACE(std::string(ModelKindName(model)) + " job " +
+                   std::to_string(id));
+      Result<WhatIfReport> report = BuildWhatIfReport(
+          *pipeline_, job.graph, model, job.default_tokens, 9);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      const WhatIfReport& r = report.value();
+      std::vector<double> grid;
+      for (const WhatIfPoint& point : r.curve) grid.push_back(point.tokens);
+      Result<std::vector<PccSample>> curve =
+          pipeline_->PredictCurve(job.graph, model, job.default_tokens, grid);
+      ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+      ASSERT_EQ(curve.value().size(), r.curve.size());
+      for (size_t i = 0; i < r.curve.size(); ++i) {
+        EXPECT_EQ(r.curve[i].predicted_runtime_seconds,
+                  curve.value()[i].runtime_seconds);
+      }
+      for (auto [slo, point] : {std::pair{-1.0, &r.aggressive},
+                                std::pair{0.10, &r.bounded}}) {
+        Result<TokenRecommendation> recommendation =
+            pipeline_->RecommendTokens(job.graph, model, job.default_tokens,
+                                       1.0, slo);
+        ASSERT_TRUE(recommendation.ok()) << recommendation.status().ToString();
+        EXPECT_EQ(point->tokens, recommendation.value().tokens);
+        EXPECT_EQ(point->predicted_runtime_seconds,
+                  recommendation.value().predicted_runtime_seconds);
+        EXPECT_EQ(point->predicted_slowdown,
+                  recommendation.value().predicted_slowdown);
+      }
+    }
   }
 }
 

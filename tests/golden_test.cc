@@ -1,7 +1,8 @@
 // Golden-file regression test: pins the full rendered what-if report for a
 // fixed workload + training configuration against checked-in expectations
 // under tests/golden/. Any change to featurization, training, inference,
-// report math, or formatting shows up as a readable text diff.
+// report math, or formatting shows up as a readable text diff. The NN and
+// GNN model archives there pin the artifact layout the same way.
 //
 // To refresh the expectations after an intentional change:
 //
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,6 +20,9 @@
 #include "arbiter/allocation_arbiter.h"
 #include "common/fpe.h"
 #include "common/rng.h"
+#include "common/text_io.h"
+#include "gnn/gnn_model.h"
+#include "nn/nn_model.h"
 #include "simcluster/cluster_scheduler.h"
 #include "tasq/what_if.h"
 #include "workload/generator.h"
@@ -198,6 +203,82 @@ TEST(GoldenSchedulerTest, FifoTracesMatchGoldenFile) {
     rendered += FormatTrace(trace.value());
   }
   CheckGolden("scheduler_fifo.txt", rendered);
+}
+
+// Pins the NN and GNN archive layouts (docs/FORMATS.md). Each file is a
+// small trained model that an earlier build wrote; it must load trained
+// and serialize back to the same bytes, so a tag renamed or reordered on
+// both the writing and the reading side fails here. `%.17g` doubles
+// round-trip exactly, so the check does not depend on the machine. Only
+// --update_golden trains: the check itself reads the committed files.
+template <typename Model>
+std::string SerializedModel(const Model& model) {
+  std::stringstream stream;
+  TextArchiveWriter writer(stream);
+  model.Serialize(writer);
+  return stream.str();
+}
+
+template <typename Model>
+void ExpectArchiveReserializes(const std::string& name) {
+  std::string archive = ReadFileOrEmpty(GoldenPath(name));
+  ASSERT_FALSE(archive.empty())
+      << name << " is missing; run golden_test --update_golden";
+  std::stringstream stream(archive);
+  TextArchiveReader reader(stream);
+  Model model = Model::Deserialize(reader);
+  ASSERT_TRUE(reader.status().ok()) << name << ": " << reader.status().ToString();
+  ASSERT_TRUE(model.trained()) << name;
+  EXPECT_EQ(SerializedModel(model), archive)
+      << name << " no longer round-trips (rerun with --update_golden only "
+      << "if the archive format changed on purpose)";
+}
+
+PccSupervision ArchiveSupervision(size_t n, Rng& rng) {
+  PccSupervision supervision;
+  for (size_t i = 0; i < n; ++i) {
+    PowerLawPcc target{-rng.Uniform(0.2, 0.8), std::exp(rng.Uniform(4.0, 7.0))};
+    double tokens = rng.Uniform(10.0, 100.0);
+    supervision.targets.push_back(target);
+    supervision.observed_tokens.push_back(tokens);
+    supervision.observed_runtime.push_back(target.EvalRunTime(tokens));
+  }
+  return supervision;
+}
+
+TEST(GoldenArchiveTest, ModelArchivesReserializeByteForByte) {
+  if (g_update_golden) {
+    constexpr size_t kDim = 5;
+    Rng rng(31);
+    std::vector<double> features(40 * kDim);
+    for (double& v : features) v = rng.Uniform(-1.0, 1.0);
+    NnOptions nn_options;
+    nn_options.hidden_sizes = {4};
+    nn_options.epochs = 3;
+    NnPccModel nn(kDim, nn_options);
+    ASSERT_TRUE(nn.Train(features, ArchiveSupervision(40, rng)).ok());
+    CheckGolden("nn_model.txt", SerializedModel(nn));
+
+    std::vector<GraphExample> graphs(20);
+    for (GraphExample& graph : graphs) {
+      graph.num_nodes = static_cast<size_t>(rng.UniformInt(2, 4));
+      graph.node_features.resize(graph.num_nodes * kDim);
+      for (double& v : graph.node_features) v = rng.Uniform(-1.0, 1.0);
+      graph.norm_adjacency.assign(graph.num_nodes * graph.num_nodes, 0.0);
+      for (size_t i = 0; i < graph.num_nodes; ++i) {
+        graph.norm_adjacency[i * graph.num_nodes + i] = 1.0;
+      }
+    }
+    GnnOptions gnn_options;
+    gnn_options.gcn_hidden = {4};
+    gnn_options.head_hidden = {4};
+    gnn_options.epochs = 2;
+    GnnPccModel gnn(kDim, gnn_options);
+    ASSERT_TRUE(gnn.Train(graphs, ArchiveSupervision(20, rng)).ok());
+    CheckGolden("gnn_model.txt", SerializedModel(gnn));
+  }
+  ExpectArchiveReserializes<NnPccModel>("nn_model.txt");
+  ExpectArchiveReserializes<GnnPccModel>("gnn_model.txt");
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "ml/matrix_io.h"
-#include "ml/optimizer.h"
 
 namespace tasq {
 
@@ -91,52 +89,39 @@ GnnPccModel::GnnPccModel(size_t node_feature_dim, GnnOptions options)
     : node_feature_dim_(node_feature_dim), options_(std::move(options)) {
   Rng rng(options_.seed);
   size_t previous = node_feature_dim_;
-  for (size_t width : options_.gcn_hidden) {
+  for (size_t i = 0; i < options_.gcn_hidden.size(); ++i) {
+    size_t width = options_.gcn_hidden[i];
     size_t in_width = options_.aggregator == GnnAggregator::kSage
                           ? 2 * previous
                           : previous;
     gcn_weights_.push_back(
-        MakeParameter(Matrix::GlorotUniform(in_width, width, rng)));
-    gcn_biases_.push_back(MakeParameter(Matrix(1, width)));
+        parameters_.Add("gnn.gcn_w" + std::to_string(i),
+                        Matrix::GlorotUniform(in_width, width, rng)));
+    gcn_biases_.push_back(
+        parameters_.Add("gnn.gcn_b" + std::to_string(i), Matrix(1, width)));
     previous = width;
   }
-  context_weight_ =
-      MakeParameter(Matrix::GlorotUniform(previous, previous, rng));
-  context_bias_ = MakeParameter(Matrix(1, previous));
-  for (size_t width : options_.head_hidden) {
+  context_weight_ = parameters_.Add(
+      "gnn.ctx_w", Matrix::GlorotUniform(previous, previous, rng));
+  context_bias_ = parameters_.Add("gnn.ctx_b", Matrix(1, previous));
+  for (size_t i = 0; i < options_.head_hidden.size(); ++i) {
+    size_t width = options_.head_hidden[i];
     head_weights_.push_back(
-        MakeParameter(Matrix::GlorotUniform(previous, width, rng)));
-    head_biases_.push_back(MakeParameter(Matrix(1, width)));
+        parameters_.Add("gnn.head_w" + std::to_string(i),
+                        Matrix::GlorotUniform(previous, width, rng)));
+    head_biases_.push_back(
+        parameters_.Add("gnn.head_b" + std::to_string(i), Matrix(1, width)));
     previous = width;
   }
-  head1_weight_ = MakeParameter(Matrix::GlorotUniform(previous, 1, rng));
-  head1_bias_ = MakeParameter(Matrix(1, 1));
-  head2_weight_ = MakeParameter(Matrix::GlorotUniform(previous, 1, rng));
-  head2_bias_ = MakeParameter(Matrix(1, 1));
+  head1_weight_ =
+      parameters_.Add("gnn.head1_w", Matrix::GlorotUniform(previous, 1, rng));
+  head1_bias_ = parameters_.Add("gnn.head1_b", Matrix(1, 1));
+  head2_weight_ =
+      parameters_.Add("gnn.head2_w", Matrix::GlorotUniform(previous, 1, rng));
+  head2_bias_ = parameters_.Add("gnn.head2_b", Matrix(1, 1));
 }
 
-std::vector<Var> GnnPccModel::AllParameters() const {
-  std::vector<Var> params;
-  for (size_t i = 0; i < gcn_weights_.size(); ++i) {
-    params.push_back(gcn_weights_[i]);
-    params.push_back(gcn_biases_[i]);
-  }
-  params.push_back(context_weight_);
-  params.push_back(context_bias_);
-  for (size_t i = 0; i < head_weights_.size(); ++i) {
-    params.push_back(head_weights_[i]);
-    params.push_back(head_biases_[i]);
-  }
-  params.push_back(head1_weight_);
-  params.push_back(head1_bias_);
-  params.push_back(head2_weight_);
-  params.push_back(head2_bias_);
-  return params;
-}
-
-int64_t GnnPccModel::NumParameters() const {
-  return CountParameters(AllParameters());
-}
+int64_t GnnPccModel::NumParameters() const { return parameters_.Count(); }
 
 std::pair<Var, Var> GnnPccModel::Forward(const GraphExample* const* graphs,
                                          size_t count) const {
@@ -178,11 +163,7 @@ std::pair<Var, Var> GnnPccModel::Forward(const GraphExample* const* graphs,
 
 Result<double> GnnPccModel::Train(const std::vector<GraphExample>& graphs,
                                   const PccSupervision& supervision) {
-  bool needs_xgb = options_.loss_form == LossForm::kLF3;
-  Status valid = supervision.Validate(needs_xgb);
-  if (!valid.ok()) return valid;
-  size_t n = supervision.size();
-  if (graphs.size() != n) {
+  if (graphs.size() != supervision.size()) {
     return Status::InvalidArgument("one graph per supervision example");
   }
   for (const GraphExample& graph : graphs) {
@@ -190,45 +171,16 @@ Result<double> GnnPccModel::Train(const std::vector<GraphExample>& graphs,
       return Status::InvalidArgument("graph example shapes are inconsistent");
     }
   }
-  Result<PccTargetScaling> scaling = PccTargetScaling::Fit(supervision.targets);
-  if (!scaling.ok()) return scaling.status();
-  scaling_ = std::make_unique<PccTargetScaling>(scaling.value());
-
-  LossWeights weights = options_.override_weights
-                            ? options_.weights
-                            : DefaultLossWeights(options_.loss_form);
   // One forward pass over the batch's block-diagonal graph; the loss
   // averages over its graphs, as the NN's does over its rows.
-  auto batch_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
+  auto forward = [&](const size_t* idx, size_t count) {
     std::vector<const GraphExample*> batch(count);
-    PccLossBatch loss_batch;
-    loss_batch.scaled_targets.resize(2 * count);
-    loss_batch.observed_tokens.resize(count);
-    loss_batch.observed_runtime.resize(count);
-    if (needs_xgb) loss_batch.xgb_runtime.resize(count);
-    for (size_t r = 0; r < count; ++r) {
-      size_t i = idx[r];
-      batch[r] = &graphs[i];
-      auto [t1, t2] = scaling_->ToScaled(supervision.targets[i]);
-      loss_batch.scaled_targets[2 * r] = t1;
-      loss_batch.scaled_targets[2 * r + 1] = t2;
-      loss_batch.observed_tokens[r] = supervision.observed_tokens[i];
-      loss_batch.observed_runtime[r] = supervision.observed_runtime[i];
-      if (needs_xgb) loss_batch.xgb_runtime[r] = supervision.xgb_runtime[i];
-    }
-    auto [p1, p2] = Forward(batch.data(), count);
-    return BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
+    for (size_t r = 0; r < count; ++r) batch[r] = &graphs[idx[r]];
+    return Forward(batch.data(), count);
   };
-  return TrainPccParameters(
-      AllParameters(), n,
-      {.epochs = options_.epochs,
-       .batch_size = options_.batch_size,
-       .learning_rate = options_.learning_rate,
-       .weight_decay = options_.weight_decay,
-       .validation_fraction = options_.validation_fraction,
-       .early_stopping_patience = options_.early_stopping_patience,
-       .shuffle_seed = options_.seed ^ 0xFEEDF00DULL},
-      batch_loss);
+  return TrainPccParameters(parameters_, supervision,
+                            MakeTrainingSchedule(options_, 0xFEEDF00DULL),
+                            scaling_, forward);
 }
 
 void GnnPccModel::Serialize(TextArchiveWriter& writer) const {
@@ -250,27 +202,7 @@ void GnnPccModel::Serialize(TextArchiveWriter& writer) const {
   writer.Scalar("gnn.aggregator",
                 static_cast<int64_t>(
                     options_.aggregator == GnnAggregator::kSage ? 1 : 0));
-  writer.Scalar("gnn.trained", static_cast<int64_t>(trained() ? 1 : 0));
-  if (trained()) {
-    writer.Scalar("gnn.scaling_s1", scaling_->s1());
-    writer.Scalar("gnn.scaling_s2", scaling_->s2());
-  }
-  for (size_t i = 0; i < gcn_weights_.size(); ++i) {
-    SaveMatrix(writer, "gnn.gcn_w" + std::to_string(i), gcn_weights_[i]->value);
-    SaveMatrix(writer, "gnn.gcn_b" + std::to_string(i), gcn_biases_[i]->value);
-  }
-  SaveMatrix(writer, "gnn.ctx_w", context_weight_->value);
-  SaveMatrix(writer, "gnn.ctx_b", context_bias_->value);
-  for (size_t i = 0; i < head_weights_.size(); ++i) {
-    SaveMatrix(writer, "gnn.head_w" + std::to_string(i),
-               head_weights_[i]->value);
-    SaveMatrix(writer, "gnn.head_b" + std::to_string(i),
-               head_biases_[i]->value);
-  }
-  SaveMatrix(writer, "gnn.head1_w", head1_weight_->value);
-  SaveMatrix(writer, "gnn.head1_b", head1_bias_->value);
-  SaveMatrix(writer, "gnn.head2_w", head2_weight_->value);
-  SaveMatrix(writer, "gnn.head2_b", head2_bias_->value);
+  SavePccParameters(writer, "gnn", scaling_, parameters_);
 }
 
 GnnPccModel GnnPccModel::Deserialize(TextArchiveReader& reader) {
@@ -284,13 +216,11 @@ GnnPccModel GnnPccModel::Deserialize(TextArchiveReader& reader) {
   std::vector<double> head;
   int64_t attention = 1;
   int64_t aggregator = 0;
-  int64_t trained = 0;
   reader.Scalar("gnn.node_feature_dim", node_dim);
   reader.Vector("gnn.gcn_hidden", gcn);
   reader.Vector("gnn.head_hidden", head);
   reader.Scalar("gnn.attention", attention);
   reader.Scalar("gnn.aggregator", aggregator);
-  reader.Scalar("gnn.trained", trained);
   GnnOptions options;
   options.gcn_hidden.clear();
   for (double width : gcn) {
@@ -305,40 +235,7 @@ GnnPccModel GnnPccModel::Deserialize(TextArchiveReader& reader) {
       aggregator == 1 ? GnnAggregator::kSage : GnnAggregator::kGcn;
   GnnPccModel model(static_cast<size_t>(std::max<int64_t>(0, node_dim)),
                     options);
-  if (trained == 1) {
-    double s1 = 1.0;
-    double s2 = 1.0;
-    reader.Scalar("gnn.scaling_s1", s1);
-    reader.Scalar("gnn.scaling_s2", s2);
-    if (reader.status().ok() && s1 > 0.0 && s2 > 0.0) {
-      model.scaling_ = std::make_unique<PccTargetScaling>(s1, s2);
-    } else {
-      reader.ForceError("gnn scaling factors must be positive");
-    }
-  }
-  auto load_into = [&](const std::string& tag, const Var& parameter) {
-    Matrix loaded = LoadMatrix(reader, tag);
-    if (reader.status().ok() && !loaded.SameShape(parameter->value)) {
-      reader.ForceError("gnn parameter shape mismatch for '" + tag + "'");
-      return;
-    }
-    if (reader.status().ok()) parameter->value = std::move(loaded);
-  };
-  for (size_t i = 0; i < model.gcn_weights_.size(); ++i) {
-    load_into("gnn.gcn_w" + std::to_string(i), model.gcn_weights_[i]);
-    load_into("gnn.gcn_b" + std::to_string(i), model.gcn_biases_[i]);
-  }
-  load_into("gnn.ctx_w", model.context_weight_);
-  load_into("gnn.ctx_b", model.context_bias_);
-  for (size_t i = 0; i < model.head_weights_.size(); ++i) {
-    load_into("gnn.head_w" + std::to_string(i), model.head_weights_[i]);
-    load_into("gnn.head_b" + std::to_string(i), model.head_biases_[i]);
-  }
-  load_into("gnn.head1_w", model.head1_weight_);
-  load_into("gnn.head1_b", model.head1_bias_);
-  load_into("gnn.head2_w", model.head2_weight_);
-  load_into("gnn.head2_b", model.head2_bias_);
-  if (!reader.status().ok()) model.scaling_.reset();
+  LoadPccParameters(reader, "gnn", model.scaling_, model.parameters_);
   return model;
 }
 

@@ -2,7 +2,7 @@
 #define TASQ_GNN_GNN_MODEL_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -94,7 +94,7 @@ class GnnPccModel {
   /// Total trainable scalar parameters (Table 7).
   int64_t NumParameters() const;
 
-  bool trained() const { return scaling_ != nullptr; }
+  bool trained() const { return scaling_.has_value(); }
   size_t node_feature_dim() const { return node_feature_dim_; }
   const GnnOptions& options() const { return options_; }
 
@@ -111,10 +111,10 @@ class GnnPccModel {
   /// each count x 1. Shapes must already be validated.
   std::pair<Var, Var> Forward(const GraphExample* const* graphs,
                               size_t count) const;
-  std::vector<Var> AllParameters() const;
 
   size_t node_feature_dim_;
   GnnOptions options_;
+  NamedParameters parameters_;
   std::vector<Var> gcn_weights_;
   std::vector<Var> gcn_biases_;
   Var context_weight_;
@@ -125,7 +125,7 @@ class GnnPccModel {
   Var head1_bias_;
   Var head2_weight_;
   Var head2_bias_;
-  std::unique_ptr<PccTargetScaling> scaling_;
+  std::optional<PccTargetScaling> scaling_;
 };
 
 }  // namespace tasq

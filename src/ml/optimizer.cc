@@ -58,12 +58,4 @@ void AdamOptimizer::Step() {
   }
 }
 
-int64_t CountParameters(const std::vector<Var>& parameters) {
-  int64_t total = 0;
-  for (const Var& p : parameters) {
-    total += static_cast<int64_t>(p->value.size());
-  }
-  return total;
-}
-
 }  // namespace tasq

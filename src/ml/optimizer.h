@@ -34,10 +34,6 @@ class AdamOptimizer {
   int64_t steps_ = 0;
 };
 
-/// Total number of scalar parameters across `parameters` (Table 7's
-/// "Number of Parameters").
-int64_t CountParameters(const std::vector<Var>& parameters);
-
 }  // namespace tasq
 
 #endif  // TASQ_ML_OPTIMIZER_H_

@@ -71,38 +71,40 @@ Status PccSupervision::Validate(bool needs_xgb) const {
   return Status::Ok();
 }
 
+Var NamedParameters::Add(std::string tag, Matrix init) {
+  return entries.emplace_back(std::move(tag), MakeParameter(std::move(init)))
+      .second;
+}
+
+int64_t NamedParameters::Count() const {
+  int64_t total = 0;
+  for (const auto& entry : entries) {
+    total += static_cast<int64_t>(entry.second->value.size());
+  }
+  return total;
+}
+
 NnPccModel::NnPccModel(size_t input_dim, NnOptions options)
     : input_dim_(input_dim), options_(std::move(options)) {
   Rng rng(options_.seed);
   size_t previous = input_dim_;
-  for (size_t width : options_.hidden_sizes) {
-    layer_weights_.push_back(
-        MakeParameter(Matrix::GlorotUniform(previous, width, rng)));
-    layer_biases_.push_back(MakeParameter(Matrix(1, width)));
+  for (size_t i = 0; i < options_.hidden_sizes.size(); ++i) {
+    size_t width = options_.hidden_sizes[i];
+    layer_weights_.push_back(parameters_.Add(
+        "nn.w" + std::to_string(i), Matrix::GlorotUniform(previous, width, rng)));
+    layer_biases_.push_back(
+        parameters_.Add("nn.b" + std::to_string(i), Matrix(1, width)));
     previous = width;
   }
-  head1_weight_ = MakeParameter(Matrix::GlorotUniform(previous, 1, rng));
-  head1_bias_ = MakeParameter(Matrix(1, 1));
-  head2_weight_ = MakeParameter(Matrix::GlorotUniform(previous, 1, rng));
-  head2_bias_ = MakeParameter(Matrix(1, 1));
+  head1_weight_ =
+      parameters_.Add("nn.head1_w", Matrix::GlorotUniform(previous, 1, rng));
+  head1_bias_ = parameters_.Add("nn.head1_b", Matrix(1, 1));
+  head2_weight_ =
+      parameters_.Add("nn.head2_w", Matrix::GlorotUniform(previous, 1, rng));
+  head2_bias_ = parameters_.Add("nn.head2_b", Matrix(1, 1));
 }
 
-std::vector<Var> NnPccModel::AllParameters() const {
-  std::vector<Var> params;
-  for (size_t i = 0; i < layer_weights_.size(); ++i) {
-    params.push_back(layer_weights_[i]);
-    params.push_back(layer_biases_[i]);
-  }
-  params.push_back(head1_weight_);
-  params.push_back(head1_bias_);
-  params.push_back(head2_weight_);
-  params.push_back(head2_bias_);
-  return params;
-}
-
-int64_t NnPccModel::NumParameters() const {
-  return CountParameters(AllParameters());
-}
+int64_t NnPccModel::NumParameters() const { return parameters_.Count(); }
 
 std::pair<Var, Var> NnPccModel::Forward(const Var& x) const {
   Var h = x;
@@ -114,12 +116,48 @@ std::pair<Var, Var> NnPccModel::Forward(const Var& x) const {
   return {p1, p2};
 }
 
-Result<double> TrainPccParameters(const std::vector<Var>& parameters,
-                                  size_t n, const TrainingSchedule& schedule,
-                                  const BatchLoss& batch_loss) {
-  AdamOptimizer optimizer(parameters,
-                          {.learning_rate = schedule.learning_rate,
-                           .weight_decay = schedule.weight_decay});
+Result<double> TrainPccParameters(const NamedParameters& parameters,
+                                  const PccSupervision& supervision,
+                                  const TrainingSchedule& schedule,
+                                  std::optional<PccTargetScaling>& scaling,
+                                  const PccForward& forward) {
+  bool needs_xgb = schedule.loss_form == LossForm::kLF3;
+  Status valid = supervision.Validate(needs_xgb);
+  if (!valid.ok()) return valid;
+  Result<PccTargetScaling> fitted = PccTargetScaling::Fit(supervision.targets);
+  if (!fitted.ok()) return fitted.status();
+  scaling = fitted.value();
+  size_t n = supervision.size();
+  std::vector<double> scaled_targets(2 * n);
+  for (size_t i = 0; i < n; ++i) {
+    auto [t1, t2] = scaling->ToScaled(supervision.targets[i]);
+    scaled_targets[2 * i] = t1;
+    scaled_targets[2 * i + 1] = t2;
+  }
+  // The mean loss of examples idx[0..count), from one forward pass.
+  auto batch_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
+    PccLossBatch batch;
+    batch.scaled_targets.resize(2 * count);
+    batch.observed_tokens.resize(count);
+    batch.observed_runtime.resize(count);
+    if (needs_xgb) batch.xgb_runtime.resize(count);
+    for (size_t r = 0; r < count; ++r) {
+      size_t i = idx[r];
+      batch.scaled_targets[2 * r] = scaled_targets[2 * i];
+      batch.scaled_targets[2 * r + 1] = scaled_targets[2 * i + 1];
+      batch.observed_tokens[r] = supervision.observed_tokens[i];
+      batch.observed_runtime[r] = supervision.observed_runtime[i];
+      if (needs_xgb) batch.xgb_runtime[r] = supervision.xgb_runtime[i];
+    }
+    auto [p1, p2] = forward(idx, count);
+    return BuildPccLoss(p1, p2, *scaling, batch, schedule.loss_weights);
+  };
+
+  std::vector<Var> vars;
+  vars.reserve(parameters.entries.size());
+  for (const auto& entry : parameters.entries) vars.push_back(entry.second);
+  AdamOptimizer optimizer(vars, {.learning_rate = schedule.learning_rate,
+                                 .weight_decay = schedule.weight_decay});
   Rng rng(schedule.shuffle_seed);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -171,7 +209,7 @@ Result<double> TrainPccParameters(const std::vector<Var>& parameters,
         best_validation_loss = value;
         epochs_without_improvement = 0;
         best_values.clear();
-        for (const Var& p : parameters) best_values.push_back(p->value);
+        for (const Var& p : vars) best_values.push_back(p->value);
       } else if (++epochs_without_improvement >=
                  schedule.early_stopping_patience) {
         break;
@@ -179,9 +217,7 @@ Result<double> TrainPccParameters(const std::vector<Var>& parameters,
     }
   }
   if (validation > 0 && !best_values.empty()) {
-    for (size_t i = 0; i < parameters.size(); ++i) {
-      parameters[i]->value = best_values[i];
-    }
+    for (size_t i = 0; i < vars.size(); ++i) vars[i]->value = best_values[i];
     return best_validation_loss;
   }
   return last_epoch_loss;
@@ -189,59 +225,62 @@ Result<double> TrainPccParameters(const std::vector<Var>& parameters,
 
 Result<double> NnPccModel::Train(const std::vector<double>& features,
                                  const PccSupervision& supervision) {
-  bool needs_xgb = options_.loss_form == LossForm::kLF3;
-  Status valid = supervision.Validate(needs_xgb);
-  if (!valid.ok()) return valid;
-  size_t n = supervision.size();
-  if (features.size() != n * input_dim_) {
+  if (features.size() != supervision.size() * input_dim_) {
     return Status::InvalidArgument("feature matrix size mismatch");
   }
-  Result<PccTargetScaling> scaling = PccTargetScaling::Fit(supervision.targets);
-  if (!scaling.ok()) return scaling.status();
-  scaling_ = std::make_unique<PccTargetScaling>(scaling.value());
-
-  std::vector<double> scaled_targets(2 * n);
-  for (size_t i = 0; i < n; ++i) {
-    auto [t1, t2] = scaling_->ToScaled(supervision.targets[i]);
-    scaled_targets[2 * i] = t1;
-    scaled_targets[2 * i + 1] = t2;
-  }
-  LossWeights weights = options_.override_weights
-                            ? options_.weights
-                            : DefaultLossWeights(options_.loss_form);
-
   // One forward pass over the batch's stacked feature rows.
-  auto batch_loss = [&](const size_t* idx, size_t count) -> Result<Var> {
+  auto forward = [&](const size_t* idx, size_t count) {
     Matrix x(count, input_dim_);
-    PccLossBatch loss_batch;
-    loss_batch.scaled_targets.resize(2 * count);
-    loss_batch.observed_tokens.resize(count);
-    loss_batch.observed_runtime.resize(count);
-    if (needs_xgb) loss_batch.xgb_runtime.resize(count);
     for (size_t r = 0; r < count; ++r) {
-      size_t i = idx[r];
-      std::copy_n(features.begin() + static_cast<long>(i * input_dim_),
-                  input_dim_,
-                  x.data().begin() + static_cast<long>(r * input_dim_));
-      loss_batch.scaled_targets[2 * r] = scaled_targets[2 * i];
-      loss_batch.scaled_targets[2 * r + 1] = scaled_targets[2 * i + 1];
-      loss_batch.observed_tokens[r] = supervision.observed_tokens[i];
-      loss_batch.observed_runtime[r] = supervision.observed_runtime[i];
-      if (needs_xgb) loss_batch.xgb_runtime[r] = supervision.xgb_runtime[i];
+      std::copy_n(features.begin() + static_cast<long>(idx[r] * input_dim_),
+                  input_dim_, x.Row(r));
     }
-    auto [p1, p2] = Forward(MakeConstant(std::move(x)));
-    return BuildPccLoss(p1, p2, *scaling_, loss_batch, weights);
+    return Forward(MakeConstant(std::move(x)));
   };
-  return TrainPccParameters(
-      AllParameters(), n,
-      {.epochs = options_.epochs,
-       .batch_size = options_.batch_size,
-       .learning_rate = options_.learning_rate,
-       .weight_decay = options_.weight_decay,
-       .validation_fraction = options_.validation_fraction,
-       .early_stopping_patience = options_.early_stopping_patience,
-       .shuffle_seed = options_.seed ^ 0xBADC0FFEULL},
-      batch_loss);
+  return TrainPccParameters(parameters_, supervision,
+                            MakeTrainingSchedule(options_, 0xBADC0FFEULL),
+                            scaling_, forward);
+}
+
+void SavePccParameters(TextArchiveWriter& writer, const std::string& prefix,
+                       const std::optional<PccTargetScaling>& scaling,
+                       const NamedParameters& parameters) {
+  writer.Scalar(prefix + ".trained", static_cast<int64_t>(scaling ? 1 : 0));
+  if (scaling) {
+    writer.Scalar(prefix + ".scaling_s1", scaling->s1());
+    writer.Scalar(prefix + ".scaling_s2", scaling->s2());
+  }
+  for (const auto& [tag, parameter] : parameters.entries) {
+    SaveMatrix(writer, tag, parameter->value);
+  }
+}
+
+void LoadPccParameters(TextArchiveReader& reader, const std::string& prefix,
+                       std::optional<PccTargetScaling>& scaling,
+                       const NamedParameters& parameters) {
+  int64_t trained = 0;
+  reader.Scalar(prefix + ".trained", trained);
+  if (trained == 1) {
+    double s1 = 1.0;
+    double s2 = 1.0;
+    reader.Scalar(prefix + ".scaling_s1", s1);
+    reader.Scalar(prefix + ".scaling_s2", s2);
+    if (reader.status().ok() && s1 > 0.0 && s2 > 0.0) {
+      scaling.emplace(s1, s2);
+    } else {
+      reader.ForceError(prefix + " scaling factors must be positive");
+    }
+  }
+  for (const auto& [tag, parameter] : parameters.entries) {
+    Matrix loaded = LoadMatrix(reader, tag);
+    if (!reader.status().ok()) break;
+    if (!loaded.SameShape(parameter->value)) {
+      reader.ForceError(prefix + " parameter shape mismatch for '" + tag + "'");
+      break;
+    }
+    parameter->value = std::move(loaded);
+  }
+  if (!reader.status().ok()) scaling.reset();
 }
 
 void NnPccModel::Serialize(TextArchiveWriter& writer) const {
@@ -252,19 +291,7 @@ void NnPccModel::Serialize(TextArchiveWriter& writer) const {
     hidden.push_back(static_cast<double>(width));
   }
   writer.Vector("nn.hidden_sizes", hidden);
-  writer.Scalar("nn.trained", static_cast<int64_t>(trained() ? 1 : 0));
-  if (trained()) {
-    writer.Scalar("nn.scaling_s1", scaling_->s1());
-    writer.Scalar("nn.scaling_s2", scaling_->s2());
-  }
-  for (size_t i = 0; i < layer_weights_.size(); ++i) {
-    SaveMatrix(writer, "nn.w" + std::to_string(i), layer_weights_[i]->value);
-    SaveMatrix(writer, "nn.b" + std::to_string(i), layer_biases_[i]->value);
-  }
-  SaveMatrix(writer, "nn.head1_w", head1_weight_->value);
-  SaveMatrix(writer, "nn.head1_b", head1_bias_->value);
-  SaveMatrix(writer, "nn.head2_w", head2_weight_->value);
-  SaveMatrix(writer, "nn.head2_b", head2_bias_->value);
+  SavePccParameters(writer, "nn", scaling_, parameters_);
 }
 
 NnPccModel NnPccModel::Deserialize(TextArchiveReader& reader) {
@@ -275,10 +302,8 @@ NnPccModel NnPccModel::Deserialize(TextArchiveReader& reader) {
   }
   int64_t input_dim = 0;
   std::vector<double> hidden;
-  int64_t trained = 0;
   reader.Scalar("nn.input_dim", input_dim);
   reader.Vector("nn.hidden_sizes", hidden);
-  reader.Scalar("nn.trained", trained);
   NnOptions options;
   options.hidden_sizes.clear();
   for (double width : hidden) {
@@ -286,34 +311,7 @@ NnPccModel NnPccModel::Deserialize(TextArchiveReader& reader) {
   }
   NnPccModel model(static_cast<size_t>(std::max<int64_t>(0, input_dim)),
                    options);
-  if (trained == 1) {
-    double s1 = 1.0;
-    double s2 = 1.0;
-    reader.Scalar("nn.scaling_s1", s1);
-    reader.Scalar("nn.scaling_s2", s2);
-    if (reader.status().ok() && s1 > 0.0 && s2 > 0.0) {
-      model.scaling_ = std::make_unique<PccTargetScaling>(s1, s2);
-    } else {
-      reader.ForceError("nn scaling factors must be positive");
-    }
-  }
-  auto load_into = [&](const std::string& tag, const Var& parameter) {
-    Matrix loaded = LoadMatrix(reader, tag);
-    if (reader.status().ok() && !loaded.SameShape(parameter->value)) {
-      reader.ForceError("nn parameter shape mismatch for '" + tag + "'");
-      return;
-    }
-    if (reader.status().ok()) parameter->value = std::move(loaded);
-  };
-  for (size_t i = 0; i < model.layer_weights_.size(); ++i) {
-    load_into("nn.w" + std::to_string(i), model.layer_weights_[i]);
-    load_into("nn.b" + std::to_string(i), model.layer_biases_[i]);
-  }
-  load_into("nn.head1_w", model.head1_weight_);
-  load_into("nn.head1_b", model.head1_bias_);
-  load_into("nn.head2_w", model.head2_weight_);
-  load_into("nn.head2_b", model.head2_bias_);
-  if (!reader.status().ok()) model.scaling_.reset();
+  LoadPccParameters(reader, "nn", model.scaling_, model.parameters_);
   return model;
 }
 

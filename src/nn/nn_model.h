@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -29,8 +31,21 @@ struct PccSupervision {
   TASQ_NODISCARD Status Validate(bool needs_xgb) const;
 };
 
-/// Optimization schedule of TrainPccParameters; the NN and the GNN fill it
-/// from their options.
+/// The trainable parameters of a PCC-parameter model (the NN and the GNN),
+/// each under its archive tag, listed once in archive order. The model's
+/// constructor adds them; the list drives Adam's parameter order,
+/// NumParameters (Table 7), SavePccParameters and LoadPccParameters.
+struct NamedParameters {
+  std::vector<std::pair<std::string, Var>> entries;
+
+  /// Appends a parameter initialized to `init` under `tag` and returns it.
+  Var Add(std::string tag, Matrix init);
+  /// Total trainable scalars.
+  int64_t Count() const;
+};
+
+/// Optimization schedule and loss of TrainPccParameters; the NN and the
+/// GNN fill it from their options (MakeTrainingSchedule).
 struct TrainingSchedule {
   int epochs = 0;
   size_t batch_size = 1;
@@ -38,24 +53,63 @@ struct TrainingSchedule {
   double weight_decay = 0.0;
   double validation_fraction = 0.0;
   int early_stopping_patience = 0;
+  LossForm loss_form = LossForm::kLF2;
+  /// Already resolved: the options' override or
+  /// DefaultLossWeights(loss_form).
+  LossWeights loss_weights;
   /// Seeds the validation split and the per-epoch shuffles.
   uint64_t shuffle_seed = 0;
 };
 
-/// Mean loss (a 1 x 1 autograd root) of the examples idx[0..count).
-using BatchLoss =
-    std::function<Result<Var>(const size_t* idx, size_t count)>;
+/// The schedule of NnOptions or GnnOptions, whose training fields share
+/// their names. `seed_salt` gives each model its own shuffle stream.
+template <typename Options>
+TrainingSchedule MakeTrainingSchedule(const Options& options,
+                                      uint64_t seed_salt) {
+  return {.epochs = options.epochs,
+          .batch_size = options.batch_size,
+          .learning_rate = options.learning_rate,
+          .weight_decay = options.weight_decay,
+          .validation_fraction = options.validation_fraction,
+          .early_stopping_patience = options.early_stopping_patience,
+          .loss_form = options.loss_form,
+          .loss_weights = options.override_weights
+                              ? options.weights
+                              : DefaultLossWeights(options.loss_form),
+          .shuffle_seed = options.seed ^ seed_salt};
+}
 
-/// The training loop of the PCC-parameter models: Adam over `parameters`
-/// on shuffled mini-batches of the `n` examples. When
-/// validation_fraction > 0 and n >= 10, a one-time shuffle holds out a
-/// fixed validation tail; training stops after early_stopping_patience
+/// A model's scaled (p1, p2) heads, each count x 1, for the examples
+/// idx[0..count), from one forward pass.
+using PccForward =
+    std::function<std::pair<Var, Var>(const size_t* idx, size_t count)>;
+
+/// The training of the PCC-parameter models. Validates `supervision`
+/// (LF3 needs xgb_runtime), fits `scaling` to its targets, then runs Adam
+/// over `parameters` on shuffled mini-batches, each batch's loss being
+/// BuildPccLoss of `forward`'s heads against the batch's supervision.
+/// When validation_fraction > 0 and n >= 10, a one-time shuffle holds out
+/// a fixed validation tail; training stops after early_stopping_patience
 /// epochs without improvement and restores the best parameters. Returns
 /// the best validation loss in that case, else the final epoch's mean
 /// training loss.
 TASQ_NODISCARD Result<double> TrainPccParameters(
-    const std::vector<Var>& parameters, size_t n,
-    const TrainingSchedule& schedule, const BatchLoss& batch_loss);
+    const NamedParameters& parameters, const PccSupervision& supervision,
+    const TrainingSchedule& schedule, std::optional<PccTargetScaling>& scaling,
+    const PccForward& forward);
+
+/// Writes `<prefix>.trained`, the target scaling when there is one, and
+/// every listed parameter under its tag, in list order.
+void SavePccParameters(TextArchiveWriter& writer, const std::string& prefix,
+                       const std::optional<PccTargetScaling>& scaling,
+                       const NamedParameters& parameters);
+
+/// Reads what SavePccParameters wrote into a freshly built model: every
+/// parameter must keep its shape. Errors latch on the reader and leave
+/// `scaling` empty, so the model stays untrained.
+void LoadPccParameters(TextArchiveReader& reader, const std::string& prefix,
+                       std::optional<PccTargetScaling>& scaling,
+                       const NamedParameters& parameters);
 
 /// Training hyper-parameters for the feed-forward model.
 struct NnOptions {
@@ -88,9 +142,8 @@ class NnPccModel {
   NnPccModel(size_t input_dim, NnOptions options);
 
   /// Trains on standardized features (row-major N x input_dim) with the
-  /// given supervision; fits the target scaling internally, then runs
-  /// TrainPccParameters with one forward pass per mini-batch and returns
-  /// its loss.
+  /// given supervision through TrainPccParameters, with one forward pass
+  /// per mini-batch, and returns its loss.
   TASQ_NODISCARD Result<double> Train(const std::vector<double>& features,
                        const PccSupervision& supervision);
 
@@ -125,7 +178,7 @@ class NnPccModel {
   int64_t NumParameters() const;
 
   size_t input_dim() const { return input_dim_; }
-  bool trained() const { return scaling_ != nullptr; }
+  bool trained() const { return scaling_.has_value(); }
   const NnOptions& options() const { return options_; }
 
   /// Serializes the trained network (architecture, weights, target
@@ -139,17 +192,17 @@ class NnPccModel {
  private:
   /// Forward pass: returns the (p1, p2) column pair for a batch input.
   std::pair<Var, Var> Forward(const Var& x) const;
-  std::vector<Var> AllParameters() const;
 
   size_t input_dim_;
   NnOptions options_;
+  NamedParameters parameters_;
   std::vector<Var> layer_weights_;
   std::vector<Var> layer_biases_;
   Var head1_weight_;
   Var head1_bias_;
   Var head2_weight_;
   Var head2_bias_;
-  std::unique_ptr<PccTargetScaling> scaling_;
+  std::optional<PccTargetScaling> scaling_;
 };
 
 }  // namespace tasq

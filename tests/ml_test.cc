@@ -309,12 +309,6 @@ TEST(AdamTest, MinimizesSimpleQuadratic) {
   }
 }
 
-TEST(OptimizerTest, CountParameters) {
-  Var a = MakeParameter(Matrix(3, 4));
-  Var b = MakeParameter(Matrix(1, 5));
-  EXPECT_EQ(CountParameters({a, b}), 17);
-}
-
 // ---------------------------------------------------------------------------
 // SIMD kernel conformance: the batch-major kernels (ml/kernels.h) must be
 // bit-identical to the pre-vectorization scalar paths wherever the

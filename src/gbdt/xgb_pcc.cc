@@ -8,7 +8,8 @@
 namespace tasq {
 namespace {
 
-// A scoring call needs a trained model, a `feature_dim` row, finite tokens > 0.
+// A scoring call needs a trained model, a `feature_dim` row and finite
+// tokens in (0, kMaxReferenceTokens].
 Status CheckInput(const GbdtRegressor& model, size_t feature_dim,
                   const std::vector<double>& job_features, double tokens) {
   if (!model.trained()) {
@@ -16,9 +17,10 @@ Status CheckInput(const GbdtRegressor& model, size_t feature_dim,
   }
   // isfinite first: an ordered comparison on NaN traps under TASQ_FPE.
   if (job_features.size() != feature_dim || !std::isfinite(tokens) ||
-      tokens <= 0.0) {
+      tokens <= 0.0 || tokens > kMaxReferenceTokens) {
     return Status::InvalidArgument(
-        "feature dimension mismatch or tokens not finite and positive");
+        "feature dimension mismatch or tokens not finite and in "
+        "(0, kMaxReferenceTokens]");
   }
   return Status::Ok();
 }

@@ -37,7 +37,9 @@ class XgbRuntimeModel {
                size_t feature_dim, const std::vector<double>& tokens,
                const std::vector<double>& runtimes);
 
-  /// Predicts run time (seconds) for one job at `tokens`.
+  /// Predicts run time (seconds) for one job at `tokens`. This and the
+  /// curve methods below fail with InvalidArgument unless the count is
+  /// finite and in (0, kMaxReferenceTokens].
   TASQ_NODISCARD Result<double> PredictRuntime(const std::vector<double>& job_features,
                                 double tokens) const;
 

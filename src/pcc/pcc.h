@@ -7,6 +7,17 @@
 
 namespace tasq {
 
+/// Largest token count a scoring request may name (its reference; for
+/// XGBoost, any count it scores). Scoring multiplies the count before it
+/// compares anything: the what-if grid forms (reference - lo) * i, up to
+/// 0.8 * reference * 1,023 at the largest grid, and XGBoost's window forms
+/// reference * (1 + window_fraction). The first overflows to inf past
+/// about 2.2e305 (an FE_OVERFLOW trap under TASQ_FPE, an `ok` report with
+/// inf tokens without it). At 1e9 both products stay below 1e13, while
+/// the bound sits far above any real allocation: the generator's largest
+/// reference over 8 seeds x 5,000 jobs is 2,800 tokens.
+inline constexpr double kMaxReferenceTokens = 1e9;
+
 /// One point of a performance characteristic curve: run time at a token
 /// allocation.
 struct PccSample {

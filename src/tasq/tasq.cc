@@ -23,9 +23,11 @@ const char* ModelKindName(ModelKind kind) {
 }
 
 Status ValidateReferenceTokens(double reference_tokens) {
-  if (!std::isfinite(reference_tokens) || reference_tokens < 1.0) {
+  if (!std::isfinite(reference_tokens) || reference_tokens < 1.0 ||
+      reference_tokens > kMaxReferenceTokens) {
     return Status::InvalidArgument(
-        "reference tokens must be finite and at least 1");
+        "reference tokens must be finite, at least 1 and at most "
+        "kMaxReferenceTokens (1e9)");
   }
   return Status::Ok();
 }

@@ -39,7 +39,8 @@ const char* ModelKindName(ModelKind kind);
 
 /// Checks a reference token count before anything compares with it: it
 /// must be finite (tested first, so a NaN never reaches an ordered
-/// comparison) and at least 1. Every Tasq scoring entry point runs it, and
+/// comparison), at least 1 and at most kMaxReferenceTokens (pcc.h), so no
+/// scoring product overflows. Every Tasq scoring entry point runs it, and
 /// so does ValidateWhatIfRequest.
 TASQ_NODISCARD Status ValidateReferenceTokens(double reference_tokens);
 

@@ -233,7 +233,8 @@ TEST(XgbRuntimeModelTest, ValidatesInput) {
   // comparison or log1p sees them, and so is a window reaching below 0.
   const double kInf = std::numeric_limits<double>::infinity();
   const std::vector<double> row = {1.0, 2.0};
-  for (double bad : {std::nan(""), kInf, -kInf}) {
+  for (double bad : {std::nan(""), kInf, -kInf, 1e308,
+                     std::numeric_limits<double>::max()}) {
     EXPECT_EQ(model.PredictRuntime(row, bad).status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(model.PredictCurve(row, bad).status().code(),

@@ -320,10 +320,11 @@ TEST_F(TasqFixture, ScoringRejectsInvalidReferenceTokens) {
   // FE_INVALID).
   const double kNan = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
+  const double kMax = std::numeric_limits<double>::max();
   const JobGraph& graph = (*test_observed_)[0].job.graph;
   for (ModelKind kind : {ModelKind::kXgboostSs, ModelKind::kXgboostPl,
                          ModelKind::kNn, ModelKind::kGnn}) {
-    for (double tokens : {kNan, kInf, -kInf, 0.0, 0.5}) {
+    for (double tokens : {kNan, kInf, -kInf, 0.0, 0.5, 1e308, kMax}) {
       SCOPED_TRACE(std::string(ModelKindName(kind)) + " at " +
                    std::to_string(tokens));
       EXPECT_EQ(pipeline_->PredictPcc(graph, kind, tokens).status().code(),

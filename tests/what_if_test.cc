@@ -153,6 +153,8 @@ TEST_F(WhatIfFixture, ValidatesInput) {
     size_t grid_points;
   };
   for (Case bad : {Case{std::nan(""), 9}, Case{kInf, 9}, Case{-kInf, 9},
+                   Case{1e308, 9},
+                   Case{std::numeric_limits<double>::max(), 9},
                    Case{10.0, size_t{1} << 40},
                    Case{10.0, kMaxWhatIfGridPoints + 1}}) {
     EXPECT_EQ(ValidateWhatIfRequest(bad.reference_tokens, bad.grid_points)
@@ -172,6 +174,26 @@ TEST_F(WhatIfFixture, ValidatesInput) {
   }
   // The cap is inclusive, and small grids are raised to 3, not rejected.
   EXPECT_TRUE(ValidateWhatIfRequest(1.0, kMaxWhatIfGridPoints).ok());
+  // So is the reference bound: at kMaxReferenceTokens on the largest grid
+  // every model's report is ok and finite.
+  for (ModelKind model : {ModelKind::kXgboostSs, ModelKind::kXgboostPl,
+                          ModelKind::kNn, ModelKind::kGnn}) {
+    Result<WhatIfReport> report =
+        BuildWhatIfReport(*pipeline_, job.graph, model, kMaxReferenceTokens,
+                          kMaxWhatIfGridPoints);
+    ASSERT_TRUE(report.ok()) << ModelKindName(model);
+    std::vector<WhatIfPoint> points = report.value().curve;
+    points.push_back(report.value().aggressive);
+    points.push_back(report.value().bounded);
+    for (const WhatIfPoint& point : points) {
+      EXPECT_TRUE(std::isfinite(point.tokens) &&
+                  std::isfinite(point.predicted_runtime_seconds) &&
+                  std::isfinite(point.predicted_slowdown))
+          << ModelKindName(model) << " at " << point.tokens;
+    }
+    EXPECT_EQ(report.value().ToText().find("inf"), std::string::npos)
+        << ModelKindName(model);
+  }
   Result<WhatIfReport> small = BuildWhatIfReportFromPcc(
       pcc, ModelKind::kNn, job.default_tokens, 0);
   ASSERT_TRUE(small.ok());

@@ -37,16 +37,6 @@ double Median(std::vector<double> values) {
   return Quantile(std::move(values), 0.5);
 }
 
-double MeanAbsoluteError(const std::vector<double>& predicted,
-                         const std::vector<double>& actual) {
-  if (predicted.empty() || predicted.size() != actual.size()) return 0.0;
-  double acc = 0.0;
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    acc += std::fabs(predicted[i] - actual[i]);
-  }
-  return acc / static_cast<double>(predicted.size());
-}
-
 std::vector<double> AbsolutePercentErrors(const std::vector<double>& predicted,
                                           const std::vector<double>& actual) {
   std::vector<double> errors;
@@ -132,24 +122,6 @@ LineFit FitLine(const std::vector<double>& x, const std::vector<double>& y) {
   }
   fit.ok = true;
   return fit;
-}
-
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  if (x.size() < 2 || x.size() != y.size()) return 0.0;
-  double mx = Mean(x);
-  double my = Mean(y);
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    sxx += (x[i] - mx) * (x[i] - mx);
-    sxy += (x[i] - mx) * (y[i] - my);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  // num: float-eq correlation is undefined only at exactly zero variance
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / CheckedSqrt(sxx * syy);
 }
 
 }  // namespace tasq

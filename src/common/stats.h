@@ -22,10 +22,6 @@ double Quantile(std::vector<double> values, double q);
 /// Median (Quantile at 0.5).
 double Median(std::vector<double> values);
 
-/// Mean absolute error between predictions and targets (equal, nonzero size).
-double MeanAbsoluteError(const std::vector<double>& predicted,
-                         const std::vector<double>& actual);
-
 /// Absolute percentage errors |pred - actual| / |actual| * 100 per element.
 /// Elements with actual == 0 are skipped.
 std::vector<double> AbsolutePercentErrors(const std::vector<double>& predicted,
@@ -58,10 +54,6 @@ struct LineFit {
   bool ok = false;
 };
 LineFit FitLine(const std::vector<double>& x, const std::vector<double>& y);
-
-/// Pearson correlation; returns 0 when either side has zero variance.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
 
 }  // namespace tasq
 

@@ -15,11 +15,6 @@ Matrix::Matrix(size_t rows, size_t cols, std::vector<double> data)
   TASQ_CHECK_EQ(data_.size(), rows_ * cols_);
 }
 
-Matrix Matrix::RowVector(std::vector<double> values) {
-  size_t n = values.size();
-  return Matrix(1, n, std::move(values));
-}
-
 Matrix Matrix::ColumnVector(std::vector<double> values) {
   size_t n = values.size();
   return Matrix(n, 1, std::move(values));

@@ -32,9 +32,6 @@ class Matrix {
   /// A rows x cols matrix wrapping `data` (size must match).
   Matrix(size_t rows, size_t cols, std::vector<double> data);
 
-  /// A 1 x values.size() row vector.
-  static Matrix RowVector(std::vector<double> values);
-
   /// A values.size() x 1 column vector.
   static Matrix ColumnVector(std::vector<double> values);
 

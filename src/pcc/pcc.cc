@@ -107,6 +107,8 @@ double PowerLawPcc::OptimalTokens(double min_improvement_percent,
 Result<PowerLawFit> FitPowerLaw(const std::vector<PccSample>& samples) {
   std::vector<double> log_tokens;
   std::vector<double> log_runtime;
+  log_tokens.reserve(samples.size());
+  log_runtime.reserve(samples.size());
   for (const PccSample& s : samples) {
     // isfinite runs first: an ordered comparison on NaN raises
     // FE_INVALID, which the TASQ_FPE harness turns into a trap, and a
@@ -165,6 +167,7 @@ Result<double> OptimalTokensFromSamples(const std::vector<PccSample>& samples,
     return Status::InvalidArgument("improvement threshold must be positive");
   }
   std::vector<PccSample> valid;
+  valid.reserve(samples.size());
   for (const PccSample& s : samples) {
     // isfinite first — see FitPowerLaw; the walk below compares runtimes
     // and a NaN would both trap under TASQ_FPE and corrupt the answer.

@@ -94,13 +94,4 @@ std::vector<FlightedJob> FlightHarness::FlightJobs(
   return out;
 }
 
-std::vector<FlightedJob> FilterNonAnomalous(
-    const std::vector<FlightedJob>& flighted) {
-  std::vector<FlightedJob> kept;
-  for (const FlightedJob& job : flighted) {
-    if (job.NonAnomalous()) kept.push_back(job);
-  }
-  return kept;
-}
-
 }  // namespace tasq

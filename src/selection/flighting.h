@@ -74,10 +74,6 @@ class FlightHarness {
   FlightConfig config_;
 };
 
-/// Keeps only jobs passing all three §5.1 filters.
-std::vector<FlightedJob> FilterNonAnomalous(
-    const std::vector<FlightedJob>& flighted);
-
 }  // namespace tasq
 
 #endif  // TASQ_SELECTION_FLIGHTING_H_

@@ -110,18 +110,4 @@ Result<KMeansResult> KMeans(const std::vector<double>& data, size_t rows,
   return result;
 }
 
-int NearestCentroid(const KMeansResult& result, const double* row) {
-  int best = 0;
-  double best_dist = std::numeric_limits<double>::max();
-  for (size_t c = 0; c < result.k; ++c) {
-    double d = SquaredDistance(row, &result.centroids[c * result.dim],
-                               result.dim);
-    if (d < best_dist) {
-      best_dist = d;
-      best = static_cast<int>(c);
-    }
-  }
-  return best;
-}
-
 }  // namespace tasq

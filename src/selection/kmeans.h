@@ -28,9 +28,6 @@ TASQ_NODISCARD Result<KMeansResult> KMeans(const std::vector<double>& data, size
                             size_t dim, size_t k, Rng& rng,
                             int max_iterations = 50);
 
-/// Index of the centroid nearest to `row` (length `result.dim`).
-int NearestCentroid(const KMeansResult& result, const double* row);
-
 }  // namespace tasq
 
 #endif  // TASQ_SELECTION_KMEANS_H_

@@ -28,21 +28,6 @@ double Skyline::Peak() const {
   return peak;
 }
 
-double Skyline::MeanUsage() const {
-  if (usage_.empty()) return 0.0;
-  return Area() / static_cast<double>(usage_.size());
-}
-
-Skyline Skyline::TrimmedTrailingZeros() const {
-  size_t end = usage_.size();
-  // num: float-eq trims only exactly-empty trailing buckets
-  while (end > 0 && usage_[end - 1] == 0.0) --end;
-  Skyline trimmed(std::vector<double>(usage_.begin(), usage_.begin() + end));
-  // Trimming removes exact zeros only, so the area is preserved exactly.
-  TASQ_DCHECK_EQ(trimmed.Area(), Area());
-  return trimmed;
-}
-
 std::vector<SkylineSection> SplitSections(const Skyline& skyline,
                                           double threshold) {
   std::vector<SkylineSection> sections;

@@ -40,13 +40,6 @@ class Skyline {
   /// Maximum instantaneous token usage.
   double Peak() const;
 
-  /// Mean token usage over the job's duration (0 for an empty skyline).
-  double MeanUsage() const;
-
-  /// Drops trailing ticks with zero usage (a run's recorded horizon can
-  /// extend past completion). Returns the trimmed skyline.
-  Skyline TrimmedTrailingZeros() const;
-
   const std::vector<double>& values() const { return usage_; }
 
   bool operator==(const Skyline& other) const = default;

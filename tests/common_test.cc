@@ -274,14 +274,6 @@ TEST(StatsTest, FitLineRejectsDegenerateInput) {
   EXPECT_FALSE(FitLine({1.0, 1.0}, {2.0, 3.0}).ok);  // Constant x.
 }
 
-TEST(StatsTest, PearsonCorrelationSigns) {
-  std::vector<double> x = {1.0, 2.0, 3.0};
-  std::vector<double> up = {10.0, 20.0, 30.0};
-  std::vector<double> down = {30.0, 20.0, 10.0};
-  EXPECT_NEAR(PearsonCorrelation(x, up), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(x, down), -1.0, 1e-12);
-}
-
 TEST(TableTest, RendersAlignedColumns) {
   TextTable t({"Model", "Err"});
   t.AddRow({"NN", "0.5"});

@@ -98,7 +98,9 @@ TEST(IntegrationTest, SelectionFlightingValidationChain) {
   std::vector<Job> selected;
   for (size_t idx : outcome.value().selected) selected.push_back(jobs[idx]);
   FlightHarness harness(FlightConfig{});
-  auto flighted = FilterNonAnomalous(harness.FlightJobs(selected));
+  std::vector<FlightedJob> flighted = harness.FlightJobs(selected);
+  std::erase_if(flighted,
+                [](const FlightedJob& job) { return !job.NonAnomalous(); });
   ASSERT_GE(flighted.size(), 10u);
 
   // AREPAS vs flighted truth: median error must stay in the paper's band.

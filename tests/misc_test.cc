@@ -88,7 +88,7 @@ TEST(MatrixIoTest, ShapeMismatchLatchesError) {
 }
 
 TEST(AutogradEdgeTest, SoftplusExtremeInputsAreStable) {
-  Var x = MakeConstant(Matrix::RowVector({-745.0, 0.0, 745.0}));
+  Var x = MakeConstant(Matrix(1, 3, {-745.0, 0.0, 745.0}));
   Var y = Softplus(x);
   EXPECT_NEAR(y->value.At(0, 0), 0.0, 1e-12);
   EXPECT_NEAR(y->value.At(0, 1), std::log(2.0), 1e-12);
@@ -99,7 +99,7 @@ TEST(AutogradEdgeTest, SoftplusExtremeInputsAreStable) {
 }
 
 TEST(AutogradEdgeTest, ReluAndAbsAtZero) {
-  Var x = MakeParameter(Matrix::RowVector({0.0}));
+  Var x = MakeParameter(Matrix(1, 1, {0.0}));
   Var loss = Mean(Add(Relu(x), Abs(x)));
   Backward(loss);
   // Subgradients at 0 are 0 by convention: no update pressure.
@@ -108,7 +108,7 @@ TEST(AutogradEdgeTest, ReluAndAbsAtZero) {
 
 TEST(AutogradEdgeTest, DeepChainBackpropDoesNotOverflowStack) {
   // 2000 chained ops exercise the iterative topological sort.
-  Var x = MakeParameter(Matrix::RowVector({1.0}));
+  Var x = MakeParameter(Matrix(1, 1, {1.0}));
   Var y = x;
   for (int i = 0; i < 2000; ++i) y = ScalarMul(y, 1.0);
   Var loss = Mean(y);

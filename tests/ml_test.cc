@@ -24,7 +24,7 @@ TEST(MatrixTest, ConstructionAndAccess) {
 }
 
 TEST(MatrixTest, RowAndColumnVectors) {
-  Matrix row = Matrix::RowVector({1.0, 2.0, 3.0});
+  Matrix row(1, 3, {1.0, 2.0, 3.0});
   EXPECT_EQ(row.rows(), 1u);
   EXPECT_EQ(row.cols(), 3u);
   Matrix col = Matrix::ColumnVector({1.0, 2.0});
@@ -294,8 +294,8 @@ TEST(AutogradTest, MaeLossValueAndGradient) {
 
 TEST(AdamTest, MinimizesSimpleQuadratic) {
   // Minimize ||x - c||^2 from zero.
-  Var x = MakeParameter(Matrix::RowVector({0.0, 0.0, 0.0}));
-  Matrix target_m = Matrix::RowVector({1.0, -2.0, 3.0});
+  Var x = MakeParameter(Matrix(1, 3, {0.0, 0.0, 0.0}));
+  Matrix target_m(1, 3, {1.0, -2.0, 3.0});
   Var target = MakeConstant(target_m);
   AdamOptimizer adam({x}, {.learning_rate = 0.05});
   for (int step = 0; step < 500; ++step) {

@@ -12,6 +12,15 @@
 namespace tasq {
 namespace {
 
+double MeanAbsoluteError(const std::vector<double>& predicted,
+                         const std::vector<double>& actual) {
+  double acc = 0.0;
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    acc += std::fabs(predicted[i] - actual[i]);
+  }
+  return acc / static_cast<double>(predicted.size());
+}
+
 struct DataSet {
   std::vector<double> features;
   std::vector<double> targets;

@@ -10,7 +10,6 @@ TEST(SkylineTest, BasicProperties) {
   EXPECT_EQ(s.duration_seconds(), 4u);
   EXPECT_DOUBLE_EQ(s.Area(), 16.0);
   EXPECT_DOUBLE_EQ(s.Peak(), 6.0);
-  EXPECT_DOUBLE_EQ(s.MeanUsage(), 4.0);
   EXPECT_DOUBLE_EQ(s.UsageAt(2), 6.0);
   EXPECT_DOUBLE_EQ(s.UsageAt(99), 0.0);
 }
@@ -20,23 +19,12 @@ TEST(SkylineTest, EmptySkyline) {
   EXPECT_EQ(s.duration_seconds(), 0u);
   EXPECT_DOUBLE_EQ(s.Area(), 0.0);
   EXPECT_DOUBLE_EQ(s.Peak(), 0.0);
-  EXPECT_DOUBLE_EQ(s.MeanUsage(), 0.0);
 }
 
 TEST(SkylineTest, NegativeSamplesClampToZero) {
   Skyline s({-1.0, 3.0});
   EXPECT_DOUBLE_EQ(s.UsageAt(0), 0.0);
   EXPECT_DOUBLE_EQ(s.Area(), 3.0);
-}
-
-TEST(SkylineTest, TrimmedTrailingZeros) {
-  Skyline s({1.0, 2.0, 0.0, 0.0});
-  Skyline trimmed = s.TrimmedTrailingZeros();
-  EXPECT_EQ(trimmed.duration_seconds(), 2u);
-  EXPECT_DOUBLE_EQ(trimmed.Area(), 3.0);
-  // Interior zeros stay.
-  Skyline mid({1.0, 0.0, 2.0});
-  EXPECT_EQ(mid.TrimmedTrailingZeros().duration_seconds(), 3u);
 }
 
 TEST(SplitSectionsTest, AlternatingSections) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/stats.h"
@@ -10,6 +11,21 @@
 
 namespace tasq {
 namespace {
+
+double PearsonCorrelation(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  double mx = Mean(x);
+  double my = Mean(y);
+  double sxx = 0.0;
+  double sxy = 0.0;
+  double syy = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    sxx += (x[i] - mx) * (x[i] - mx);
+    sxy += (x[i] - mx) * (y[i] - my);
+    syy += (y[i] - my) * (y[i] - my);
+  }
+  return sxy / std::sqrt(sxx * syy);
+}
 
 WorkloadConfig SmallConfig() {
   WorkloadConfig config;

@@ -15,7 +15,7 @@ namespace tasq {
 /// about 2.2e305 (an FE_OVERFLOW trap under TASQ_FPE, an `ok` report with
 /// inf tokens without it). At 1e9 both products stay below 1e13, while
 /// the bound sits far above any real allocation: the generator's largest
-/// reference over 8 seeds x 5,000 jobs is 2,800 tokens.
+/// reference over seeds 1-8 x 5,000 jobs is 2,375 tokens.
 inline constexpr double kMaxReferenceTokens = 1e9;
 
 /// One point of a performance characteristic curve: run time at a token

@@ -58,7 +58,7 @@ int Main() {
   PrintBanner(std::cout, "Ablation: AREPAS training-data augmentation for XGBoost");
   TextTable table({"flight", "Median AE with augmentation",
                    "Median AE without augmentation"});
-  for (size_t f = 0; f < flight_config.token_fractions.size(); ++f) {
+  for (size_t f = 0; f < kFlightTokenFractions.size(); ++f) {
     std::vector<double> pred_with;
     std::vector<double> pred_without;
     std::vector<double> actual;
@@ -76,10 +76,7 @@ int Main() {
       pred_without.push_back(without_pred.value());
       actual.push_back(record.runtime_seconds);
     }
-    // token_fractions are sorted descending inside the harness.
-    std::vector<double> fractions = flight_config.token_fractions;
-    std::sort(fractions.rbegin(), fractions.rend());
-    table.AddRow({Cell(100.0 * fractions[f], 0) + "% of request",
+    table.AddRow({Cell(100.0 * kFlightTokenFractions[f], 0) + "% of request",
                   Cell(MedianAbsolutePercentError(pred_with, actual), 0) + "%",
                   Cell(MedianAbsolutePercentError(pred_without, actual), 0) +
                       "%"});
@@ -114,9 +111,7 @@ int Main() {
 
   TextTable nn_table({"flight", "NN Median AE, AREPAS targets",
                       "NN Median AE, single-point (flat) targets"});
-  std::vector<double> fractions = flight_config.token_fractions;
-  std::sort(fractions.rbegin(), fractions.rend());
-  for (size_t f = 0; f < fractions.size(); ++f) {
+  for (size_t f = 0; f < kFlightTokenFractions.size(); ++f) {
     std::vector<double> pred_with;
     std::vector<double> pred_without;
     std::vector<double> actual;
@@ -133,7 +128,7 @@ int Main() {
       actual.push_back(record.runtime_seconds);
     }
     nn_table.AddRow(
-        {Cell(100.0 * fractions[f], 0) + "% of request",
+        {Cell(100.0 * kFlightTokenFractions[f], 0) + "% of request",
          Cell(MedianAbsolutePercentError(pred_with, actual), 0) + "%",
          Cell(MedianAbsolutePercentError(pred_without, actual), 0) + "%"});
   }

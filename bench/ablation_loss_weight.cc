@@ -25,7 +25,6 @@ int Main() {
   for (double weight : {0.0, 0.25, 0.75, 1.5, 3.0, 6.0}) {
     TasqOptions options = bench::BenchTasqOptions(LossForm::kLF2);
     options.train_gnn = false;
-    options.nn.override_weights = true;
     options.nn.weights = LossWeights{weight, 0.0};
     Tasq pipeline(options);
     Status trained = pipeline.Train(train);

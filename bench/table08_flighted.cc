@@ -39,7 +39,7 @@ int Main() {
   std::printf("flighted dataset: %zu jobs, %zu runs, %zu monotone within "
               "%.0f%% tolerance\n",
               flighted.size(), total_runs, monotone_jobs,
-              flight_config.monotone_tolerance_percent);
+              kFlightMonotoneTolerancePercent);
 
   // ---- Table 8: model accuracy on the flighted dataset -------------------
   PrintBanner(std::cout, "Table 8: results on the flighted dataset");

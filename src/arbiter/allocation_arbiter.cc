@@ -14,6 +14,13 @@ namespace tasq {
 namespace {
 
 constexpr double kEps = 1e-9;
+/// Water-filling step for the partial-grant policies.
+constexpr double kTokenQuantum = 1.0;
+/// A partial grant below max(1, fraction * request) is considered not
+/// worth starting; the job waits instead.
+constexpr double kMinGrantFraction = 0.25;
+/// Karma: credits charged per over-fair-share token-second.
+constexpr double kKarmaPrice = 1.0;
 
 /// Analytic runtime bound of a plan at an allocation: perfect scaling of
 /// the total work, floored at the critical path (the simulator can only
@@ -54,9 +61,8 @@ double PolicyArbiter::PredictRuntime(const Submission& submission,
 namespace {
 
 /// Floor below which a partial grant is not worth starting.
-double MinGrant(const ArbiterOptions& options, double requested) {
-  return std::max(1.0, std::min(requested,
-                                options.min_grant_fraction * requested));
+double MinGrant(double requested) {
+  return std::max(1.0, std::min(requested, kMinGrantFraction * requested));
 }
 
 // ---------------------------------------------------------------------------
@@ -99,7 +105,7 @@ class WelfareMaxArbiter final : public PolicyArbiter {
     for (size_t i = 0; i < n; ++i) {
       const Submission& sub = *ctx.pending[i].submission;
       cap[i] = sub.requested_tokens;
-      seed[i] = MinGrant(options_, cap[i]);
+      seed[i] = MinGrant(cap[i]);
       seed_value[i] = 1.0 / PredictRuntime(sub, seed[i]);
       by_value[i] = i;
     }
@@ -130,7 +136,7 @@ class WelfareMaxArbiter final : public PolicyArbiter {
     std::priority_queue<Step, std::vector<Step>, decltype(worse)> heap(worse);
     auto marginal_gain = [&](size_t i) {
       const Submission& sub = *ctx.pending[i].submission;
-      double step = std::min(options_.token_quantum, cap[i] - grant[i]);
+      double step = std::min(kTokenQuantum, cap[i] - grant[i]);
       if (step <= kEps) return 0.0;
       return 1.0 / PredictRuntime(sub, grant[i] + step) -
              1.0 / PredictRuntime(sub, grant[i]);
@@ -145,8 +151,7 @@ class WelfareMaxArbiter final : public PolicyArbiter {
       Step best = heap.top();
       heap.pop();
       size_t i = best.pos;
-      double step =
-          std::min({options_.token_quantum, cap[i] - grant[i], remaining});
+      double step = std::min({kTokenQuantum, cap[i] - grant[i], remaining});
       if (step <= kEps) continue;
       grant[i] += step;
       remaining -= step;
@@ -209,7 +214,7 @@ class MaxMinFairArbiter final : public PolicyArbiter {
       }
       if (!found) break;
       double step =
-          std::min({options_.token_quantum, demand[best_tenant], remaining});
+          std::min({kTokenQuantum, demand[best_tenant], remaining});
       budget[best_tenant] += step;
       demand[best_tenant] -= step;
       remaining -= step;
@@ -225,7 +230,7 @@ class MaxMinFairArbiter final : public PolicyArbiter {
       if (request <= tenant_budget + kEps) {
         grants.push_back(TokenGrant{pending.index, request});
         tenant_budget -= request;
-      } else if (tenant_budget >= MinGrant(options_, request)) {
+      } else if (tenant_budget >= MinGrant(request)) {
         grants.push_back(TokenGrant{pending.index, tenant_budget});
         tenant_budget = 0.0;
       }
@@ -288,15 +293,15 @@ class KarmaArbiter final : public PolicyArbiter {
       const Submission& sub = *pending.submission;
       double request = sub.requested_tokens;
       double top = std::min(request, remaining);
-      double floor = MinGrant(options_, request);
+      double floor = MinGrant(request);
       if (top < floor - kEps) continue;
       // Scan grant candidates from the full request downward on a
       // bounded grid: the largest affordable grant wins. Usage within
       // the fair share costs nothing; the over-share part costs
       // price x over x predicted runtime, payable from credits down to
-      // -max_debt.
+      // -kKarmaMaxDebt.
       double tenant_usage = usage[sub.tenant_id];
-      double step = std::max(options_.token_quantum, (top - floor) / 64.0);
+      double step = std::max(kTokenQuantum, (top - floor) / 64.0);
       double granted = 0.0;
       double cost = 0.0;
       for (double g = top; g >= floor - kEps; g -= step) {
@@ -305,10 +310,8 @@ class KarmaArbiter final : public PolicyArbiter {
                       std::max(tenant_usage, fair_share);
         double candidate_cost =
             over <= 0.0 ? 0.0
-                        : over * PredictRuntime(sub, candidate) *
-                              options_.karma_price;
-        if (credits_[sub.tenant_id] - candidate_cost >=
-            -options_.karma_max_debt - kEps) {
+                        : over * PredictRuntime(sub, candidate) * kKarmaPrice;
+        if (credits_[sub.tenant_id] - candidate_cost >= -kKarmaMaxDebt - kEps) {
           granted = candidate;
           cost = candidate_cost;
           break;

@@ -45,20 +45,14 @@ inline constexpr int kArbiterPolicyCount = 4;
 /// tables and BENCH_arbiter.json keys.
 const char* ArbiterPolicyName(ArbiterPolicy policy);
 
-/// Tuning knobs shared by the policies.
+/// Karma: how far below zero a tenant's balance may go.
+inline constexpr double kKarmaMaxDebt = 0.0;
+
+/// The policy and its knobs.
 struct ArbiterOptions {
   ArbiterPolicy policy = ArbiterPolicy::kFifoGang;
-  /// Water-filling step for the partial-grant policies.
-  double token_quantum = 1.0;
-  /// A partial grant below max(1, fraction * request) is considered not
-  /// worth starting; the job waits instead.
-  double min_grant_fraction = 0.25;
   /// Karma: initial per-tenant credit balance (token-second units).
   double karma_initial_credits = 5000.0;
-  /// Karma: how far below zero a tenant's balance may go.
-  double karma_max_debt = 0.0;
-  /// Karma: credits charged per over-fair-share token-second.
-  double karma_price = 1.0;
 };
 
 /// The arbiter's belief about each job's performance characteristic

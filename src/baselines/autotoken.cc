@@ -8,6 +8,9 @@
 
 namespace tasq {
 
+/// Minimum prior runs a group needs before its model is trained.
+constexpr int kMinHistory = 3;
+
 double AutoToken::DataSizeFeature(const Job& job) {
   double cost = 0.0;
   if (!job.graph.operators.empty()) {
@@ -28,7 +31,7 @@ Status AutoToken::Train(const std::vector<ObservedJob>& observed) {
   }
   models_.clear();
   for (const auto& [signature, members] : groups) {
-    if (static_cast<int>(members.size()) < options_.min_history) continue;
+    if (static_cast<int>(members.size()) < kMinHistory) continue;
     std::vector<double> x;
     std::vector<double> y;
     for (const ObservedJob* entry : members) {

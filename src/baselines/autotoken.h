@@ -18,14 +18,6 @@ namespace tasq {
 ///  * predicts a single peak number — no run-time / what-if predictions.
 class AutoToken {
  public:
-  struct Options {
-    /// Minimum prior runs a group needs before its model is trained.
-    int min_history = 3;
-  };
-
-  AutoToken() : AutoToken(Options()) {}
-  explicit AutoToken(Options options) : options_(options) {}
-
   /// Trains the per-group models from observed historical runs.
   TASQ_NODISCARD Status Train(const std::vector<ObservedJob>& observed);
 
@@ -49,7 +41,6 @@ class AutoToken {
 
   static double DataSizeFeature(const Job& job);
 
-  Options options_;
   bool trained_ = false;
   std::map<int, GroupModel> models_;
 };

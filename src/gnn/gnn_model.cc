@@ -178,9 +178,12 @@ Result<double> GnnPccModel::Train(const std::vector<GraphExample>& graphs,
     for (size_t r = 0; r < count; ++r) batch[r] = &graphs[idx[r]];
     return Forward(batch.data(), count);
   };
-  return TrainPccParameters(parameters_, supervision,
-                            MakeTrainingSchedule(options_, 0xFEEDF00DULL),
-                            scaling_, forward);
+  TrainingSchedule schedule =
+      MakeTrainingSchedule(options_, options_.batch_size,
+                           DefaultLossWeights(options_.loss_form),
+                           0xFEEDF00DULL);
+  return TrainPccParameters(parameters_, supervision, schedule, scaling_,
+                            forward);
 }
 
 void GnnPccModel::Serialize(TextArchiveWriter& writer) const {

@@ -44,10 +44,8 @@ struct GnnOptions {
   /// Graphs per gradient step (losses averaged across the mini-batch).
   size_t batch_size = 16;
   double learning_rate = 1e-3;
-  double weight_decay = 1e-5;
+  /// Trained with DefaultLossWeights(loss_form).
   LossForm loss_form = LossForm::kLF2;
-  bool override_weights = false;
-  LossWeights weights;
   /// When false, attention pooling is replaced by plain mean pooling
   /// (ablation knob).
   bool attention_pooling = true;

@@ -14,6 +14,11 @@ namespace tasq {
 
 namespace {
 
+/// L2 weight decay of Adam's updates, for the NN and the GNN alike.
+constexpr double kWeightDecay = 1e-5;
+/// Examples per NN gradient step.
+constexpr size_t kNnBatchSize = 64;
+
 /// Layer epilogues for the batched forward pass. The hidden layers and
 /// the identity head ride vectorized kernels; the softplus head is
 /// exp-based, and there is no vector math library under strict IEEE (no
@@ -157,7 +162,7 @@ Result<double> TrainPccParameters(const NamedParameters& parameters,
   vars.reserve(parameters.entries.size());
   for (const auto& entry : parameters.entries) vars.push_back(entry.second);
   AdamOptimizer optimizer(vars, {.learning_rate = schedule.learning_rate,
-                                 .weight_decay = schedule.weight_decay});
+                                 .weight_decay = kWeightDecay});
   Rng rng(schedule.shuffle_seed);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -237,9 +242,12 @@ Result<double> NnPccModel::Train(const std::vector<double>& features,
     }
     return Forward(MakeConstant(std::move(x)));
   };
-  return TrainPccParameters(parameters_, supervision,
-                            MakeTrainingSchedule(options_, 0xBADC0FFEULL),
-                            scaling_, forward);
+  TrainingSchedule schedule = MakeTrainingSchedule(
+      options_, kNnBatchSize,
+      options_.weights.value_or(DefaultLossWeights(options_.loss_form)),
+      0xBADC0FFEULL);
+  return TrainPccParameters(parameters_, supervision, schedule, scaling_,
+                            forward);
 }
 
 void SavePccParameters(TextArchiveWriter& writer, const std::string& prefix,

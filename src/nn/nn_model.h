@@ -50,7 +50,6 @@ struct TrainingSchedule {
   int epochs = 0;
   size_t batch_size = 1;
   double learning_rate = 0.0;
-  double weight_decay = 0.0;
   double validation_fraction = 0.0;
   int early_stopping_patience = 0;
   LossForm loss_form = LossForm::kLF2;
@@ -61,21 +60,21 @@ struct TrainingSchedule {
   uint64_t shuffle_seed = 0;
 };
 
-/// The schedule of NnOptions or GnnOptions, whose training fields share
-/// their names. `seed_salt` gives each model its own shuffle stream.
+/// The schedule of NnOptions or GnnOptions, whose other training fields
+/// share their names, with the model's batch size and resolved loss
+/// weights. `seed_salt` gives each model its own shuffle stream.
 template <typename Options>
 TrainingSchedule MakeTrainingSchedule(const Options& options,
+                                      size_t batch_size,
+                                      LossWeights loss_weights,
                                       uint64_t seed_salt) {
   return {.epochs = options.epochs,
-          .batch_size = options.batch_size,
+          .batch_size = batch_size,
           .learning_rate = options.learning_rate,
-          .weight_decay = options.weight_decay,
           .validation_fraction = options.validation_fraction,
           .early_stopping_patience = options.early_stopping_patience,
           .loss_form = options.loss_form,
-          .loss_weights = options.override_weights
-                              ? options.weights
-                              : DefaultLossWeights(options.loss_form),
+          .loss_weights = loss_weights,
           .shuffle_seed = options.seed ^ seed_salt};
 }
 
@@ -86,8 +85,9 @@ using PccForward =
 
 /// The training of the PCC-parameter models. Validates `supervision`
 /// (LF3 needs xgb_runtime), fits `scaling` to its targets, then runs Adam
-/// over `parameters` on shuffled mini-batches, each batch's loss being
-/// BuildPccLoss of `forward`'s heads against the batch's supervision.
+/// (L2 weight decay 1e-5) over `parameters` on shuffled mini-batches, each
+/// batch's loss being BuildPccLoss of `forward`'s heads against the batch's
+/// supervision.
 /// When validation_fraction > 0 and n >= 10, a one-time shuffle holds out
 /// a fixed validation tail; training stops after early_stopping_patience
 /// epochs without improvement and restores the best parameters. Returns
@@ -111,17 +111,15 @@ void LoadPccParameters(TextArchiveReader& reader, const std::string& prefix,
                        std::optional<PccTargetScaling>& scaling,
                        const NamedParameters& parameters);
 
-/// Training hyper-parameters for the feed-forward model.
+/// Training hyper-parameters for the feed-forward model, which trains on
+/// mini-batches of 64 examples.
 struct NnOptions {
   std::vector<size_t> hidden_sizes = {32, 16};
   int epochs = 60;
-  size_t batch_size = 64;
   double learning_rate = 1e-3;
-  double weight_decay = 1e-5;
   LossForm loss_form = LossForm::kLF2;
-  /// When true, `weights` overrides DefaultLossWeights(loss_form).
-  bool override_weights = false;
-  LossWeights weights;
+  /// When set, overrides DefaultLossWeights(loss_form).
+  std::optional<LossWeights> weights;
   /// Fraction of examples held out for validation-based early stopping;
   /// 0 trains on everything for the full epoch budget.
   double validation_fraction = 0.0;

@@ -13,13 +13,11 @@ Result<FlightedJob> FlightHarness::FlightJob(const Job& job) const {
   flighted.reference_tokens = job.default_tokens;
 
   ClusterSimulator simulator;
-  std::vector<double> fractions = config_.token_fractions;
-  std::sort(fractions.rbegin(), fractions.rend());  // Descending tokens.
   int repetitions = std::max(1, config_.repetitions);
 
-  for (size_t f = 0; f < fractions.size(); ++f) {
-    double tokens =
-        std::max(1.0, std::round(job.default_tokens * fractions[f]));
+  for (size_t f = 0; f < kFlightTokenFractions.size(); ++f) {
+    double tokens = std::max(
+        1.0, std::round(job.default_tokens * kFlightTokenFractions[f]));
     FlightRecord record;
     record.job_id = job.id;
     record.tokens = tokens;
@@ -69,7 +67,7 @@ Result<FlightedJob> FlightHarness::FlightJob(const Job& job) const {
     double more_tokens = flighted.flights[i - 1].runtime_seconds;
     double fewer_tokens = flighted.flights[i].runtime_seconds;
     double allowed =
-        fewer_tokens * (1.0 + config_.monotone_tolerance_percent / 100.0);
+        fewer_tokens * (1.0 + kFlightMonotoneTolerancePercent / 100.0);
     if (more_tokens > allowed) {
       flighted.monotone = false;
       break;

@@ -1,7 +1,10 @@
 #ifndef TASQ_SELECTION_FLIGHTING_H_
 #define TASQ_SELECTION_FLIGHTING_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -10,18 +13,23 @@
 
 namespace tasq {
 
+/// Fractions of a job's reference (default) token count that flighting
+/// runs, in descending order (paper §5.1).
+inline constexpr std::array<double, 4> kFlightTokenFractions = {
+    1.0, 0.8, 0.6, 0.2};
+static_assert(std::is_sorted(kFlightTokenFractions.begin(),
+                             kFlightTokenFractions.end(), std::greater<>()));
+/// Tolerance of the run-time monotonicity filter (filter 3), in percent.
+inline constexpr double kFlightMonotoneTolerancePercent = 10.0;
+
 /// Configuration for job flighting — re-executing selected jobs at several
 /// token counts to gather ground truth (paper §5.1). On the real platform
 /// this used SCOPE's pre-production flighting capability; here each flight
 /// is a noisy cluster-simulator run.
 struct FlightConfig {
-  /// Fractions of the job's reference (default) token count to flight.
-  std::vector<double> token_fractions = {1.0, 0.8, 0.6, 0.2};
   /// Runs per unique (job, tokens) flight, "to establish redundancy".
   int repetitions = 3;
   NoiseModel noise = {.enabled = true};
-  /// Tolerance for the run-time monotonicity filter (filter 3).
-  double monotone_tolerance_percent = 10.0;
   uint64_t seed = 1234;
 };
 
@@ -62,7 +70,7 @@ class FlightHarness {
  public:
   explicit FlightHarness(FlightConfig config) : config_(std::move(config)) {}
 
-  /// Flights one job at all configured token fractions.
+  /// Flights one job at every kFlightTokenFractions entry.
   TASQ_NODISCARD Result<FlightedJob> FlightJob(const Job& job) const;
 
   /// Flights a batch; jobs whose simulation fails are skipped.

@@ -12,6 +12,9 @@
 namespace tasq {
 namespace {
 
+/// Duration multiplier applied to straggler tasks.
+constexpr double kStragglerFactor = 2.0;
+
 // Accumulates busy-token time into 1-second ticks. Full ticks covered by a
 // task interval go through a difference array (O(1) per task); the
 // fractional edges are added directly, so the final skyline area equals the
@@ -117,7 +120,7 @@ Result<RunResult> ClusterSimulator::Run(const JobPlan& plan,
       duration *= rng.LogNormal(-sigma * sigma / 2.0, sigma);
     }
     if (rng.Bernoulli(config.noise.straggler_probability)) {
-      duration *= config.noise.straggler_factor;
+      duration *= kStragglerFactor;
     }
     if (rng.Bernoulli(config.noise.failure_probability)) {
       // The failed attempt holds the token for a fraction of the duration,

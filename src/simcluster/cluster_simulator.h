@@ -18,10 +18,8 @@ struct NoiseModel {
   bool enabled = false;
   /// Sigma of the multiplicative log-normal per-task duration jitter.
   double duration_jitter_sigma = 0.06;
-  /// Per-task probability of becoming a straggler.
+  /// Per-task probability of straggling (running twice as long).
   double straggler_probability = 0.01;
-  /// Duration multiplier applied to straggler tasks.
-  double straggler_factor = 2.0;
   /// Per-task probability of failing once; a failed task loses a uniform
   /// [20%, 80%] fraction of its duration before retrying from scratch.
   double failure_probability = 0.002;

@@ -7,6 +7,9 @@
 
 namespace tasq {
 
+/// Noise of the one observed run per query that AutoExecutor trains on.
+constexpr NoiseModel kObservationNoise = {.enabled = true};
+
 Result<ExecutorRunResult> RunOnExecutors(const JobPlan& plan, int executors,
                                          const SparkPlatformConfig& platform,
                                          const NoiseModel& noise,
@@ -78,8 +81,7 @@ Status AutoExecutor::Train(const std::vector<Job>& jobs) {
   for (const Job& job : jobs) {
     int executors = impl_->DefaultExecutors(job);
     Result<ExecutorRunResult> run = RunOnExecutors(
-        job.plan, executors, impl_->options.platform,
-        impl_->options.observation_noise,
+        job.plan, executors, impl_->options.platform, kObservationNoise,
         impl_->options.seed ^ (static_cast<uint64_t>(job.id) * 6364136223ULL));
     if (!run.ok()) return run.status();
     ObservedJob entry;
@@ -91,7 +93,6 @@ Status AutoExecutor::Train(const std::vector<Job>& jobs) {
     observed.push_back(std::move(entry));
   }
   TasqOptions options;
-  options.dataset = impl_->options.dataset;
   options.nn = impl_->options.nn;
   options.train_xgb = false;
   options.train_gnn = false;

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "nn/nn_model.h"
 #include "simcluster/cluster_simulator.h"
-#include "tasq/dataset.h"
 #include "workload/job_graph.h"
 
 namespace tasq {
@@ -44,9 +43,7 @@ TASQ_NODISCARD Result<ExecutorRunResult> RunOnExecutors(const JobPlan& plan, int
 /// Options for AutoExecutor training.
 struct AutoExecutorOptions {
   SparkPlatformConfig platform;
-  DatasetOptions dataset;
   NnOptions nn;
-  NoiseModel observation_noise = {.enabled = true};
   uint64_t seed = 1;
 };
 

@@ -1,11 +1,18 @@
 #include "tasq/dataset.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "arepas/arepas.h"
 #include "common/parallel.h"
 
 namespace tasq {
+
+/// Fractions of the job's *peak usage* where the AREPAS curve is sampled
+/// to fit the power-law target (trend supervision).
+constexpr std::array<double, 8> kTargetFractions = {0.2,  0.3, 0.4, 0.5,
+                                                    0.65, 0.8, 0.9, 1.0};
 
 Result<std::vector<ObservedJob>> ObserveWorkload(const std::vector<Job>& jobs,
                                                  const NoiseModel& noise,
@@ -45,7 +52,7 @@ Result<Dataset> DatasetBuilder::Build(
     return Status::InvalidArgument("cannot build a dataset from zero jobs");
   }
   Featurizer featurizer;
-  Arepas arepas(options_.arepas);
+  Arepas arepas;
   Dataset dataset;
   dataset.job_feature_dim = Featurizer::kJobFeatureDim;
   dataset.op_feature_dim = Featurizer::kOperatorFeatureDim;
@@ -72,13 +79,12 @@ Result<Dataset> DatasetBuilder::Build(
     // ---- Trend target: power law fitted to the AREPAS-synthesized curve.
     double peak = std::max(1.0, entry.peak_tokens);
     std::vector<double> grid;
-    for (double fraction : options_.target_fractions) {
+    for (double fraction : kTargetFractions) {
       double tokens = std::max(1.0, std::round(fraction * peak));
       if (grid.empty() || tokens > grid.back()) grid.push_back(tokens);
     }
     PowerLawPcc target{0.0, std::max(entry.runtime_seconds, 1.0)};
-    Result<std::vector<PccSample>> curve =
-        SamplePcc(entry.skyline, grid, options_.arepas);
+    Result<std::vector<PccSample>> curve = SamplePcc(entry.skyline, grid);
     if (curve.ok()) {
       Result<PowerLawFit> fit = FitPowerLaw(curve.value());
       // A degenerate or (rare, quantization-induced) increasing fit falls

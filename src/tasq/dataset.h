@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "arepas/arepas.h"
 #include "common/status.h"
 #include "feat/featurizer.h"
 #include "gnn/gnn_model.h"
@@ -36,11 +35,6 @@ TASQ_NODISCARD Result<std::vector<ObservedJob>> ObserveWorkload(const std::vecto
 
 /// Options controlling training-set construction.
 struct DatasetOptions {
-  ArepasOptions arepas;
-  /// Fractions of the job's *peak usage* where the AREPAS curve is sampled
-  /// to fit the power-law target (trend supervision).
-  std::vector<double> target_fractions = {0.2, 0.3, 0.4, 0.5,
-                                          0.65, 0.8, 0.9, 1.0};
   /// Fractions of the *observed* token count added as augmented point-
   /// prediction examples for XGBoost (paper §4.4: 60%, 80%, 100%).
   std::vector<double> point_fractions = {0.6, 0.8, 1.0};

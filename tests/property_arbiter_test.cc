@@ -172,8 +172,8 @@ TEST_P(ArbiterPropertyTest, KarmaCreditLedgerIsZeroSum) {
                        static_cast<double>(credits.size());
   double sum = 0.0;
   for (const auto& [tenant, balance] : credits) {
-    // Debt stays within the configured bound for every account.
-    EXPECT_GE(balance, -arbiter->options().karma_max_debt - 1e-6);
+    // Debt stays within the bound for every account.
+    EXPECT_GE(balance, -kKarmaMaxDebt - 1e-6);
     sum += balance;
     (void)tenant;
   }

@@ -282,8 +282,9 @@ Result<std::vector<PccSample>> Tasq::PredictCurve(
     Result<SmoothingSpline> spline =
         PredictSmoothedCurve(graph, reference_tokens);
     if (!spline.ok()) return spline.status();
+    double top = spline.value().knots().back();
     for (double tokens : token_grid) {
-      out.push_back({tokens, spline.value().Eval(tokens)});
+      out.push_back({tokens, spline.value().Eval(std::min(tokens, top))});
     }
     return out;
   }

@@ -133,6 +133,9 @@ class Tasq {
   /// Samples the predicted PCC at the given token counts (works for all
   /// four model kinds, including XGBoost-SS). Fails with InvalidArgument
   /// on an empty grid or on any entry that is not finite and positive.
+  /// Above its window's top knot the XGBoost-SS curve holds that knot's
+  /// run time: the natural spline's linear extrapolation can fall through
+  /// zero.
   TASQ_NODISCARD Result<std::vector<PccSample>> PredictCurve(
       const JobGraph& graph, ModelKind kind, double reference_tokens,
       const std::vector<double>& token_grid) const;

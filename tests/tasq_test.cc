@@ -303,6 +303,27 @@ TEST_F(TasqFixture, XgboostSsRecommendationUsesSampledCurve) {
   EXPECT_GT(recommendation.value().predicted_runtime_seconds, 0.0);
 }
 
+TEST_F(TasqFixture, XgboostSsHoldsTopKnotRuntimeAboveWindow) {
+  // A natural spline extrapolates linearly past its top knot, and that
+  // line can cross zero; above the window the curve is flat instead.
+  for (const ObservedJob& entry : *test_observed_) {
+    double reference = entry.observed_tokens;
+    Result<SmoothingSpline> spline =
+        pipeline_->PredictSmoothedCurve(entry.job.graph, reference);
+    ASSERT_TRUE(spline.ok()) << spline.status().ToString();
+    double top = spline.value().Eval(spline.value().knots().back());
+    for (double scale : {1.5, 10.0, 1e12}) {
+      Result<double> runtime = pipeline_->PredictRuntime(
+          entry.job.graph, ModelKind::kXgboostSs, reference,
+          scale * reference);
+      ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+      EXPECT_TRUE(std::isfinite(runtime.value()));
+      EXPECT_GT(runtime.value(), 0.0) << "scale " << scale;
+      EXPECT_EQ(runtime.value(), top) << "scale " << scale;
+    }
+  }
+}
+
 TEST_F(TasqFixture, PredictRuntimeMatchesPccEvaluation) {
   const ObservedJob& entry = (*test_observed_)[1];
   Result<PowerLawPcc> pcc = pipeline_->PredictPcc(

@@ -31,9 +31,6 @@
 ///     reformulations (stable sigmoid/softplus, exp clamped to the finite
 ///     range) for code that must accept any finite input.
 ///
-/// `TASQ_ASSERT_FINITE(expr)` evaluates to the value of `expr` and aborts
-/// (in every build type) when it is NaN or infinite.
-///
 /// NaN discipline: ordered comparisons (`<`, `<=`, ...) on NaN raise
 /// FE_INVALID, which the TASQ_FPE test harness turns into a trap. Guards
 /// in this header therefore test `std::isfinite`/`std::isnan` (quiet)
@@ -44,28 +41,6 @@ namespace tasq {
 
 /// Largest x with exp(x) finite: log(DBL_MAX) rounded down.
 inline constexpr double kMaxExpArg = 709.78271289338396;
-
-namespace internal {
-
-[[noreturn]] inline void AssertFiniteFailed(const char* file, int line,
-                                            const char* expression,
-                                            double value) {
-  std::fprintf(stderr,
-               "%s:%d: check failed: TASQ_ASSERT_FINITE(%s) (value=%.17g)\n",
-               file, line, expression, value);
-  std::fflush(stderr);
-  std::abort();
-}
-
-inline double AssertFinite(double value, const char* expression,
-                           const char* file, int line) {
-  if (!std::isfinite(value)) {
-    AssertFiniteFailed(file, line, expression, value);
-  }
-  return value;
-}
-
-}  // namespace internal
 
 /// Returns `x` when it is finite, `fallback` otherwise. The quiet clamp
 /// for contexts that cannot fail (hashing, display, scaling fallbacks).
@@ -212,12 +187,5 @@ inline double StableSoftplus(double x) {
 }
 
 }  // namespace tasq
-
-/// Evaluates to the (double) value of `expression`, aborting with
-/// file:line, the expression text, and the offending value when it is NaN
-/// or infinite. Active in every build type, like TASQ_CHECK.
-#define TASQ_ASSERT_FINITE(expression)                                    \
-  (::tasq::internal::AssertFinite((expression), #expression, __FILE__,    \
-                                  __LINE__))
 
 #endif  // TASQ_COMMON_FMATH_H_

@@ -1,9 +1,8 @@
 // Property tests for the checked-math layer (common/fmath.h) over the
 // domain edges that poison log-log pipelines: zeros of both signs,
-// denormals, overflow boundaries, and NaN propagation. Death tests pin
-// the abort behavior of TASQ_ASSERT_FINITE. Everything here must also run
-// trap-clean under -DTASQ_FPE=ON: the Safe* tier's contract is that a
-// rejected domain never raises a floating-point exception.
+// denormals, overflow boundaries, and NaN propagation. Everything here
+// must also run trap-clean under -DTASQ_FPE=ON: the Safe* tier's contract
+// is that a rejected domain never raises a floating-point exception.
 
 #include <gtest/gtest.h>
 
@@ -167,23 +166,6 @@ TEST(StableSoftplusTest, PositiveMonotoneAndAsymptotic) {
     EXPECT_GT(here, prev);
     prev = here;
   }
-}
-
-TEST(AssertFiniteTest, PassesThroughFiniteValues) {
-  EXPECT_DOUBLE_EQ(TASQ_ASSERT_FINITE(1.5 + 2.5), 4.0);
-  EXPECT_DOUBLE_EQ(TASQ_ASSERT_FINITE(-0.0), 0.0);
-  EXPECT_DOUBLE_EQ(TASQ_ASSERT_FINITE(kDenorm), kDenorm);
-}
-
-TEST(FmathDeathTest, AssertFiniteAbortsOnNan) {
-  double nan = kNan;
-  EXPECT_DEATH(TASQ_ASSERT_FINITE(nan), "TASQ_ASSERT_FINITE\\(nan\\)");
-}
-
-TEST(FmathDeathTest, AssertFiniteAbortsOnInfinityOfEitherSign) {
-  double inf = kInf;
-  EXPECT_DEATH(TASQ_ASSERT_FINITE(inf), "TASQ_ASSERT_FINITE");
-  EXPECT_DEATH(TASQ_ASSERT_FINITE(-inf), "value=-inf");
 }
 
 // The runtime tier: with traps requested (TASQ_FPE builds), the guarded

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 
 #include "common/rng.h"
 #include "nn/nn_model.h"
@@ -200,6 +203,28 @@ TEST(NnPccModelTest, LearnsSyntheticRelationship) {
   // Exponent range spans ~0.9; a useful model gets well under 0.15 mean
   // error (predicting the mean exponent would give ~0.19).
   EXPECT_LT(mean_a_err, 0.15);
+}
+
+// NnOptions::weights replaces the loss form's default weights: set to
+// that default it trains the same bytes as leaving it unset, and another
+// runtime weight trains different ones.
+TEST(NnPccModelTest, LossWeightOverrideReachesTraining) {
+  SyntheticSet train = MakeSynthetic(120, 4);
+  auto trained_archive = [&](std::optional<LossWeights> weights) {
+    NnOptions options;
+    options.epochs = 5;
+    options.loss_form = LossForm::kLF2;
+    options.weights = weights;
+    NnPccModel model(train.dim, options);
+    EXPECT_TRUE(model.Train(train.features, train.supervision).ok());
+    std::stringstream stream;
+    TextArchiveWriter writer(stream);
+    model.Serialize(writer);
+    return stream.str();
+  };
+  std::string unset = trained_archive(std::nullopt);
+  EXPECT_EQ(trained_archive(DefaultLossWeights(LossForm::kLF2)), unset);
+  EXPECT_NE(trained_archive(LossWeights{2.0, 0.0}), unset);
 }
 
 TEST(NnPccModelTest, PredictionsAlwaysMonotoneEvenUntrainedWeights) {

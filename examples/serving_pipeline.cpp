@@ -4,6 +4,8 @@
 // predictions for incoming jobs without access to any telemetry.
 //
 // Usage: serving_pipeline [model_path]
+// The workload repository is written beside the model, to
+// <model_path>.workload.
 
 #include <cstdio>
 #include <string>
@@ -16,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace tasq;
   std::string model_path =
       argc > 1 ? argv[1] : std::string("/tmp/tasq_model.txt");
-  std::string repo_path = "/tmp/tasq_workload_repo.txt";
+  std::string repo_path = model_path + ".workload";
 
   // ---- Ingestion: observed telemetry lands in the job repository. -------
   WorkloadGenerator generator(WorkloadConfig{});

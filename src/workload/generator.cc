@@ -8,11 +8,6 @@
 namespace tasq {
 namespace {
 
-/// Log-sigma of the per-template parallelism base (right skew).
-constexpr double kTokensLogSigma = 0.9;
-/// Log-sigma of the per-template task duration.
-constexpr double kTaskSecondsLogSigma = 0.5;
-
 // Returns a log-normal draw with the given median and log-sigma.
 double LogNormalMedian(Rng& rng, double median, double log_sigma) {
   return rng.LogNormal(CheckedLog(median), log_sigma);
@@ -41,10 +36,11 @@ WorkloadGenerator::TemplateSpec WorkloadGenerator::MakeTemplate(
   spec.archetype = static_cast<JobArchetype>(
       rng.UniformInt(0, kJobArchetypeCount - 1));
   spec.parallelism_base = std::clamp(
-      LogNormalMedian(rng, config_.tokens_median, kTokensLogSigma),
+      LogNormalMedian(rng, config_.tokens_median, config_.tokens_log_sigma),
       2.0, static_cast<double>(config_.max_stage_width));
   spec.task_seconds_base = std::clamp(
-      LogNormalMedian(rng, config_.task_seconds_median, kTaskSecondsLogSigma),
+      LogNormalMedian(rng, config_.task_seconds_median,
+                      config_.task_seconds_log_sigma),
       2.0, 300.0);
 
   int num_stages = 0;

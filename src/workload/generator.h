@@ -39,10 +39,13 @@ struct WorkloadConfig {
   int num_templates = 40;
   /// Median of the per-template parallelism base (peak-width scale).
   double tokens_median = 40.0;
+  /// Log-sigma of the parallelism base (right skew).
+  double tokens_log_sigma = 0.9;
   /// Hard cap on any stage width.
   int max_stage_width = 1500;
   /// Median per-task duration in seconds.
   double task_seconds_median = 18.0;
+  double task_seconds_log_sigma = 0.5;
   /// Range of the user's over-provisioning factor for the default token
   /// request (Figure 1: requested 125 while using < 80).
   double overprovision_lo = 1.0;
